@@ -61,6 +61,7 @@ import (
 	"strings"
 
 	"github.com/soteria-analysis/soteria"
+	"github.com/soteria-analysis/soteria/internal/api"
 	"github.com/soteria-analysis/soteria/internal/obs"
 )
 
@@ -113,20 +114,20 @@ func main() {
 		if *showIR || *showDot || *showSMV || *formula != "" || *ltlProp != "" || *witness != "" {
 			fail("-ir, -dot, -smv, -formula, -ltl, and -witness are local-only (not with -remote)")
 		}
-		os.Exit(runRemote(remoteRun{
-			baseURL:       *remote,
-			idemKey:       *idemKey,
-			paths:         flag.Args(),
-			general:       *general,
-			specific:      *specific,
-			taint:         *taintOnly,
-			properties:    splitIDs(*propIDs),
-			parallel:      *parallel,
-			timeout:       *timeout,
-			maxStates:     *maxStates,
-			jsonOut:       *jsonOut,
-			explainTiming: *explain,
-		}))
+		opts := api.Options{Properties: splitIDs(*propIDs), MaxStates: *maxStates}
+		if *general || *specific || *taintOnly {
+			// Family flags combine: naming any of them checks exactly
+			// the named families (same semantics as a local run).
+			opts.General, opts.AppSpecific, opts.Taint = general, specific, taintOnly
+		}
+		if *parallel > 1 {
+			opts.Parallel = *parallel
+		}
+		if *timeout > 0 {
+			opts.TimeoutMS = timeout.Milliseconds()
+		}
+		req := api.AnalyzeRequest{Options: opts, IdempotencyKey: *idemKey, Timings: *explain}
+		os.Exit(runRemote(*remote, flag.Args(), req, *jsonOut))
 	}
 
 	var apps []*soteria.App

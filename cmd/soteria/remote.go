@@ -9,91 +9,56 @@ import (
 	"path/filepath"
 	"time"
 
+	"github.com/soteria-analysis/soteria/internal/api"
 	"github.com/soteria-analysis/soteria/internal/client"
 	"github.com/soteria-analysis/soteria/internal/report"
 )
 
-// remoteRun is a -remote invocation's parameters.
-type remoteRun struct {
-	baseURL       string
-	idemKey       string
-	paths         []string
-	general       bool
-	specific      bool
-	taint         bool
-	properties    []string
-	parallel      int
-	timeout       time.Duration
-	maxStates     int
-	jsonOut       bool
-	explainTiming bool
-}
-
-// runRemote submits the apps to a soteriad instance through the
-// resilient client and renders the returned record with the same exit
-// codes as a local run.
-func runRemote(run remoteRun) int {
-	var apps []client.App
-	for _, path := range run.paths {
+// runRemote submits the apps at paths to the soteriad instance at
+// baseURL through the resilient client and renders the returned record
+// with the same exit codes as a local run.
+func runRemote(baseURL string, paths []string, req api.AnalyzeRequest, jsonOut bool) int {
+	for _, path := range paths {
 		src, err := os.ReadFile(path)
 		if err != nil {
 			fail("reading %s: %v", path, err)
 		}
-		apps = append(apps, client.App{Name: filepath.Base(path), Source: string(src)})
+		req.Apps = append(req.Apps, api.App{Name: filepath.Base(path), Source: string(src)})
 	}
 
-	opts := &client.Options{MaxStates: run.maxStates, Properties: run.properties}
-	if run.general || run.specific || run.taint {
-		// Family flags combine: naming any of them checks exactly the
-		// named families (same semantics as a local run).
-		opts.General = &run.general
-		opts.AppSpecific = &run.specific
-		opts.Taint = &run.taint
-	}
-	if run.parallel > 1 {
-		opts.Parallel = run.parallel
-	}
-	if run.timeout > 0 {
-		opts.TimeoutMS = run.timeout.Milliseconds()
-	}
-
-	c, err := client.New(client.Config{BaseURL: run.baseURL})
+	c, err := client.New(client.Config{BaseURL: baseURL})
 	if err != nil {
 		fail("%v", err)
 	}
 	ctx := context.Background()
-	if run.timeout > 0 {
+	if ms := req.Options.TimeoutMS; ms > 0 {
 		// The request deadline leaves headroom over the analysis budget
 		// for queueing and transport.
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, run.timeout+30*time.Second)
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond+30*time.Second)
 		defer cancel()
 	}
 
-	j, err := c.Analyze(ctx, client.AnalyzeRequest{
-		Apps:           apps,
-		Options:        opts,
-		IdempotencyKey: run.idemKey,
-		Timings:        run.explainTiming,
-	})
+	j, err := c.Analyze(ctx, req)
 	if err != nil {
 		fail("remote analysis: %v", err)
 	}
-	if !j.Terminal() {
+	if !j.Status.Terminal() {
 		// A sync submission normally returns terminal; a poll handle can
 		// still surface (e.g. the submitting connection broke and the
 		// retry raced the job) — follow it.
-		if j, err = c.Wait(ctx, j.JobID); err != nil {
-			fail("remote analysis: polling job %s: %v", j.JobID, err)
+		id := j.JobID
+		if j, err = c.Wait(ctx, id); err != nil {
+			fail("remote analysis: polling job %s: %v", id, err)
 		}
 	}
-	if j.Status == "failed" || j.Result == nil {
+	if j.Status == api.StatusFailed || j.Result == nil {
 		fail("remote analysis: job %s %s: %s", j.JobID, j.Status, j.Error)
 	}
-	if run.explainTiming {
+	if req.Timings {
 		renderTiming(j.Result.Timing, j.Trace)
 	}
-	return renderRecord(j.Result, j.Cached, run.jsonOut)
+	return renderRecord(j.Result, j.Cached, jsonOut)
 }
 
 // renderTiming prints the daemon-recorded span tree to stderr, with

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/soteria-analysis/soteria/internal/api"
 	"github.com/soteria-analysis/soteria/internal/client"
 	"github.com/soteria-analysis/soteria/internal/paperapps"
 	"github.com/soteria-analysis/soteria/internal/report"
@@ -168,8 +169,8 @@ func chaosClient(t *testing.T, addr string) *client.Client {
 
 // variantApp derives distinct-but-valid analysis inputs so each job
 // has its own content address and must genuinely run.
-func variantApp(i int) client.App {
-	return client.App{
+func variantApp(i int) api.App {
+	return api.App{
 		Name:   fmt.Sprintf("smoke-alarm-%d", i),
 		Source: fmt.Sprintf("// chaos variant %d\n%s", i, paperapps.SmokeAlarm),
 	}
@@ -196,8 +197,8 @@ func TestKillRestartLosesNoAcceptedJob(t *testing.T) {
 	keys := make([]string, jobs)
 	for i := 0; i < jobs; i++ {
 		keys[i] = fmt.Sprintf("chaos-key-%d", i)
-		j, err := c.Analyze(ctx, client.AnalyzeRequest{
-			Apps:           []client.App{variantApp(i)},
+		j, err := c.Analyze(ctx, api.AnalyzeRequest{
+			Apps:           []api.App{variantApp(i)},
 			Async:          true,
 			IdempotencyKey: keys[i],
 		})
@@ -213,7 +214,7 @@ func TestKillRestartLosesNoAcceptedJob(t *testing.T) {
 	// Let the single worker get into the first job (chaos FS keeps its
 	// store write slow), then crash the daemon mid-flight. The
 	// invariants below hold wherever the kill lands.
-	waitStatus(t, c, ctx, ids[0], "running", 30*time.Second)
+	waitStatus(t, c, ctx, ids[0], api.StatusRunning, 30*time.Second)
 	d.kill()
 
 	// Restart over the same store + journal (chaos off: recovery speed).
@@ -235,8 +236,8 @@ func TestKillRestartLosesNoAcceptedJob(t *testing.T) {
 	// Idempotent resubmission: the crash-era keys answer with the
 	// original jobs' IDs and their cached results — no re-analysis.
 	for i := 0; i < jobs; i++ {
-		j, err := c2.Analyze(ctx, client.AnalyzeRequest{
-			Apps:           []client.App{variantApp(i)},
+		j, err := c2.Analyze(ctx, api.AnalyzeRequest{
+			Apps:           []api.App{variantApp(i)},
 			IdempotencyKey: keys[i],
 		})
 		if err != nil {
@@ -288,13 +289,13 @@ func TestKillMidWriteServesNoTornRecord(t *testing.T) {
 	// One async job; kill as soon as it is running — with chunked,
 	// delayed writes the kill often lands inside the record write or
 	// the journal append. The contract holds wherever it lands.
-	j, err := c.Analyze(ctx, client.AnalyzeRequest{
-		Apps: []client.App{variantApp(100)}, Async: true, IdempotencyKey: "midwrite-key",
+	j, err := c.Analyze(ctx, api.AnalyzeRequest{
+		Apps: []api.App{variantApp(100)}, Async: true, IdempotencyKey: "midwrite-key",
 	})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	waitStatus(t, c, ctx, j.JobID, "running", 30*time.Second)
+	waitStatus(t, c, ctx, j.JobID, api.StatusRunning, 30*time.Second)
 	d.kill()
 
 	d2 := startDaemon(t, stateDir, freeAddr(t), false)
@@ -308,7 +309,7 @@ func TestKillMidWriteServesNoTornRecord(t *testing.T) {
 	// ...and a fresh sync analysis of the same content must return a
 	// sound record, whether it hits the store or re-runs past a
 	// quarantined torn file.
-	again, err := c2.Analyze(ctx, client.AnalyzeRequest{Apps: []client.App{variantApp(100)}})
+	again, err := c2.Analyze(ctx, api.AnalyzeRequest{Apps: []api.App{variantApp(100)}})
 	if err != nil {
 		t.Fatalf("re-analysis: %v", err)
 	}
@@ -332,12 +333,12 @@ func TestKillMidWriteServesNoTornRecord(t *testing.T) {
 
 // waitStatus polls until the job reports the wanted status (or a
 // terminal one — a fast job may finish before the poll observes it).
-func waitStatus(t *testing.T, c *client.Client, ctx context.Context, id, want string, limit time.Duration) {
+func waitStatus(t *testing.T, c *client.Client, ctx context.Context, id string, want api.Status, limit time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(limit)
 	for {
 		j, err := c.Poll(ctx, id)
-		if err == nil && (j.Status == want || j.Terminal()) {
+		if err == nil && (j.Status == want || j.Status.Terminal()) {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -349,7 +350,7 @@ func waitStatus(t *testing.T, c *client.Client, ctx context.Context, id, want st
 
 // waitTerminal polls until the job finishes, failing on 404 — a
 // vanished job is exactly the loss this harness exists to catch.
-func waitTerminal(t *testing.T, c *client.Client, ctx context.Context, id string, limit time.Duration) *client.Job {
+func waitTerminal(t *testing.T, c *client.Client, ctx context.Context, id string, limit time.Duration) *api.Job {
 	t.Helper()
 	deadline := time.Now().Add(limit)
 	for {
@@ -357,7 +358,7 @@ func waitTerminal(t *testing.T, c *client.Client, ctx context.Context, id string
 		if err != nil {
 			t.Fatalf("job %s lost after restart: %v", id, err)
 		}
-		if j.Terminal() {
+		if j.Status.Terminal() {
 			return j
 		}
 		if time.Now().After(deadline) {

@@ -33,22 +33,10 @@ import (
 	"sync"
 	"time"
 
+	"github.com/soteria-analysis/soteria/internal/api"
 	"github.com/soteria-analysis/soteria/internal/obs"
 	"github.com/soteria-analysis/soteria/internal/report"
 )
-
-// TraceHeader carries the per-job trace ID. The client mints one at
-// submission and sends it on every retry attempt, so all server log
-// lines for a retried request share one ID; the server echoes the
-// adopted ID back on this header.
-const TraceHeader = "X-Soteria-Trace"
-
-// ForwardedHeader marks a request that already crossed one
-// cluster-routing hop. A daemon receiving it serves the request
-// locally whatever the ring says — the guard that makes a routing
-// disagreement between two nodes degrade to one extra hop, never a
-// forwarding loop.
-const ForwardedHeader = "X-Soteria-Forwarded"
 
 // Config configures a Client. The zero value plus a BaseURL is
 // serviceable.
@@ -136,58 +124,6 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("soteriad: %d: %s", e.Status, e.Message)
 }
 
-// App is one named Groovy source.
-type App struct {
-	Name   string `json:"name"`
-	Source string `json:"source"`
-}
-
-// Options mirrors the service's request options.
-type Options struct {
-	General     *bool    `json:"general,omitempty"`
-	AppSpecific *bool    `json:"app_specific,omitempty"`
-	Taint       *bool    `json:"taint,omitempty"`
-	Properties  []string `json:"properties,omitempty"`
-	TimeoutMS   int64    `json:"timeout_ms,omitempty"`
-	MaxStates   int      `json:"max_states,omitempty"`
-	Parallel    int      `json:"parallel,omitempty"`
-}
-
-// Job is the wire form of a job's state, shared by submission
-// responses and polls.
-type Job struct {
-	JobID     string         `json:"job_id"`
-	Status    string         `json:"status"`
-	Poll      string         `json:"poll,omitempty"`
-	ElapsedMS int64          `json:"elapsed_ms,omitempty"`
-	Key       string         `json:"key,omitempty"`
-	Cached    bool           `json:"cached,omitempty"`
-	Result    *report.Record `json:"result,omitempty"`
-	Error     string         `json:"error,omitempty"`
-	Results   []BatchItem    `json:"results,omitempty"`
-	// Node is the fleet member that ran the analysis (empty on
-	// single-node daemons and locally-served requests).
-	Node string `json:"node,omitempty"`
-
-	// Trace is the job's trace ID, taken from the X-Soteria-Trace
-	// response header (not the JSON body). Quote it in bug reports: the
-	// daemon stamps it on every log line about the job.
-	Trace string `json:"-"`
-}
-
-// Terminal reports whether the job has finished (well or badly).
-func (j *Job) Terminal() bool { return j.Status == "done" || j.Status == "failed" }
-
-// BatchItem is one item's outcome in a batch job.
-type BatchItem struct {
-	Key    string         `json:"key"`
-	Store  string         `json:"store_key"`
-	Cached bool           `json:"cached"`
-	Result *report.Record `json:"result,omitempty"`
-	Error  string         `json:"error,omitempty"`
-	Node   string         `json:"node,omitempty"`
-}
-
 // breaker is the consecutive-failure circuit breaker.
 type breaker struct {
 	mu        sync.Mutex
@@ -264,77 +200,25 @@ func newIdemKey() string {
 	return "ik-" + hex.EncodeToString(b[:])
 }
 
-// analyzeBody is the POST /v1/analyze payload.
-type analyzeBody struct {
-	Apps           []App    `json:"apps,omitempty"`
-	Options        *Options `json:"options,omitempty"`
-	Async          bool     `json:"async,omitempty"`
-	IdempotencyKey string   `json:"idempotency_key,omitempty"`
-	Timings        bool     `json:"timings,omitempty"`
-}
-
-// AnalyzeRequest submits one analysis (one app or a multi-app union).
-type AnalyzeRequest struct {
-	Apps    []App
-	Options *Options
-	Async   bool
-	// IdempotencyKey dedupes resubmissions; "" auto-generates one, so
-	// retries within this call are always safe.
-	IdempotencyKey string
-	// Timings asks the daemon to embed the job's span tree (phase and
-	// engine timings, trace ID) in the returned records.
-	Timings bool
-	// Trace pins the job's trace ID ("" mints one). Cluster routing
-	// sets it so one analysis keeps one trace ID across hops.
-	Trace string
-}
-
-// Analyze submits the request, retrying transient failures, and
-// returns the resulting job state (terminal for sync requests, a poll
-// handle for async ones).
-func (c *Client) Analyze(ctx context.Context, req AnalyzeRequest) (*Job, error) {
-	key := req.IdempotencyKey
-	if key == "" {
-		key = newIdemKey()
+// Analyze submits one analysis (one app or a multi-app union),
+// retrying transient failures, and returns the resulting job state
+// (terminal for sync requests, a poll handle for async ones). An empty
+// IdempotencyKey is minted here, so retries within this call are
+// always safe.
+func (c *Client) Analyze(ctx context.Context, req api.AnalyzeRequest) (*api.Job, error) {
+	if req.IdempotencyKey == "" {
+		req.IdempotencyKey = newIdemKey()
 	}
-	body := analyzeBody{Apps: req.Apps, Options: req.Options, Async: req.Async, IdempotencyKey: key, Timings: req.Timings}
-	return c.postJob(ctx, "/v1/analyze", body, req.Trace)
+	return c.postJob(ctx, "/v1/analyze", req)
 }
 
-// batchBody is the POST /v1/batch payload.
-type batchBody struct {
-	Items          []BatchRequestItem `json:"items"`
-	Options        *Options           `json:"options,omitempty"`
-	Async          bool               `json:"async,omitempty"`
-	IdempotencyKey string             `json:"idempotency_key,omitempty"`
-	Timings        bool               `json:"timings,omitempty"`
-}
-
-// BatchRequestItem is one unit of a batch submission.
-type BatchRequestItem struct {
-	Key  string `json:"key,omitempty"`
-	Apps []App  `json:"apps"`
-}
-
-// BatchRequest submits many analyses as one job.
-type BatchRequest struct {
-	Items          []BatchRequestItem
-	Options        *Options
-	Async          bool
-	IdempotencyKey string
-	Timings        bool
-	Trace          string
-}
-
-// Batch submits a multi-item job with the same resilience stack as
-// Analyze.
-func (c *Client) Batch(ctx context.Context, req BatchRequest) (*Job, error) {
-	key := req.IdempotencyKey
-	if key == "" {
-		key = newIdemKey()
+// Batch submits many analyses as one job with the same resilience
+// stack as Analyze.
+func (c *Client) Batch(ctx context.Context, req api.BatchRequest) (*api.Job, error) {
+	if req.IdempotencyKey == "" {
+		req.IdempotencyKey = newIdemKey()
 	}
-	body := batchBody{Items: req.Items, Options: req.Options, Async: req.Async, IdempotencyKey: key, Timings: req.Timings}
-	return c.postJob(ctx, "/v1/batch", body, req.Trace)
+	return c.postJob(ctx, "/v1/batch", req)
 }
 
 // ForwardRaw relays a pre-encoded analyze or batch body to this
@@ -343,8 +227,8 @@ func (c *Client) Batch(ctx context.Context, req BatchRequest) (*Job, error) {
 // Cluster routing uses it to hand a request to the key's owner without
 // re-encoding (the body the origin validated is the body the owner
 // sees).
-func (c *Client) ForwardRaw(ctx context.Context, path string, body []byte, trace string) (*Job, error) {
-	var j Job
+func (c *Client) ForwardRaw(ctx context.Context, path string, body []byte, trace string) (*api.Job, error) {
+	var j api.Job
 	tc := &traceCapture{send: trace}
 	if err := c.doPayload(ctx, http.MethodPost, path, body, &j, tc, true); err != nil {
 		return nil, err
@@ -364,8 +248,8 @@ func (c *Client) PutResult(ctx context.Context, key string, rec *report.Record) 
 }
 
 // Poll fetches a job's current state by ID.
-func (c *Client) Poll(ctx context.Context, jobID string) (*Job, error) {
-	var j Job
+func (c *Client) Poll(ctx context.Context, jobID string) (*api.Job, error) {
+	var j api.Job
 	tc := &traceCapture{}
 	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+jobID, nil, &j, tc); err != nil {
 		return nil, err
@@ -375,13 +259,13 @@ func (c *Client) Poll(ctx context.Context, jobID string) (*Job, error) {
 }
 
 // Wait polls a job until it reaches a terminal state or ctx expires.
-func (c *Client) Wait(ctx context.Context, jobID string) (*Job, error) {
+func (c *Client) Wait(ctx context.Context, jobID string) (*api.Job, error) {
 	for {
 		j, err := c.Poll(ctx, jobID)
 		if err != nil {
 			return nil, err
 		}
-		if j.Terminal() {
+		if j.Status.Terminal() {
 			return j, nil
 		}
 		if err := c.cfg.sleep(ctx, c.cfg.PollInterval); err != nil {
@@ -399,11 +283,6 @@ func (c *Client) Result(ctx context.Context, key string) (*report.Record, error)
 	return &rec, nil
 }
 
-// Healthy reports whether the daemon answers its liveness probe.
-func (c *Client) Healthy(ctx context.Context) error {
-	return c.do(ctx, http.MethodGet, "/healthz", nil, nil, nil)
-}
-
 // traceCapture threads the trace ID through one logical request: send
 // goes out on every attempt's X-Soteria-Trace header (unchanged across
 // retries, so the server logs one ID for the whole logical request);
@@ -416,14 +295,10 @@ type traceCapture struct {
 // postJob submits a job payload and decodes the job response. A sync
 // submission that completes returns the terminal job directly; an
 // async one returns the accepted (202) state. The client mints the
-// job's trace ID here, before the first attempt, unless the caller
-// pinned one.
-func (c *Client) postJob(ctx context.Context, path string, body any, trace string) (*Job, error) {
-	var j Job
-	if trace == "" {
-		trace = obs.NewTraceID()
-	}
-	tc := &traceCapture{send: trace}
+// job's trace ID here, before the first attempt.
+func (c *Client) postJob(ctx context.Context, path string, body any) (*api.Job, error) {
+	var j api.Job
+	tc := &traceCapture{send: obs.NewTraceID()}
 	if err := c.do(ctx, http.MethodPost, path, body, &j, tc); err != nil {
 		return nil, err
 	}
@@ -537,10 +412,10 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 		req.Header.Set("Content-Type", "application/json")
 	}
 	if tc != nil && tc.send != "" {
-		req.Header.Set(TraceHeader, tc.send)
+		req.Header.Set(api.TraceHeader, tc.send)
 	}
 	if forwarded {
-		req.Header.Set(ForwardedHeader, "1")
+		req.Header.Set(api.ForwardedHeader, "1")
 	}
 	resp, err := c.cfg.HTTPClient.Do(req)
 	if err != nil {
@@ -548,7 +423,7 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 	}
 	defer resp.Body.Close()
 	if tc != nil {
-		if t := resp.Header.Get(TraceHeader); t != "" {
+		if t := resp.Header.Get(api.TraceHeader); t != "" {
 			tc.received = t
 		}
 	}

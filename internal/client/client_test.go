@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/soteria-analysis/soteria/internal/api"
 )
 
 // fakeTime is an injectable clock + sleep recorder: sleeps advance the
@@ -124,11 +126,11 @@ func TestRetriesTransientThenSucceeds(t *testing.T) {
 	defer ts.Close()
 	c, ft := newTestClient(t, ts, nil)
 
-	j, err := c.Analyze(context.Background(), AnalyzeRequest{Apps: []App{{Name: "a", Source: "x"}}})
+	j, err := c.Analyze(context.Background(), api.AnalyzeRequest{Apps: []api.App{{Name: "a", Source: "x"}}})
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
-	if j.JobID != "j1" || !j.Terminal() {
+	if j.JobID != "j1" || !j.Status.Terminal() {
 		t.Fatalf("job: %+v", j)
 	}
 	if sc.count() != 3 {
@@ -148,7 +150,7 @@ func TestIdempotencyKeyStableAcrossRetries(t *testing.T) {
 	defer ts.Close()
 	c, _ := newTestClient(t, ts, nil)
 
-	if _, err := c.Analyze(context.Background(), AnalyzeRequest{Apps: []App{{Name: "a", Source: "x"}}}); err != nil {
+	if _, err := c.Analyze(context.Background(), api.AnalyzeRequest{Apps: []api.App{{Name: "a", Source: "x"}}}); err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
 	if len(sc.bodies) != 2 {
@@ -175,7 +177,7 @@ func TestHonorsRetryAfterFloor(t *testing.T) {
 	defer ts.Close()
 	c, ft := newTestClient(t, ts, nil)
 
-	if _, err := c.Analyze(context.Background(), AnalyzeRequest{Apps: []App{{Name: "a", Source: "x"}}}); err != nil {
+	if _, err := c.Analyze(context.Background(), api.AnalyzeRequest{Apps: []api.App{{Name: "a", Source: "x"}}}); err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
 	got := ft.Slept()
@@ -190,7 +192,7 @@ func TestNoRetryOnClientError(t *testing.T) {
 	defer ts.Close()
 	c, _ := newTestClient(t, ts, nil)
 
-	_, err := c.Analyze(context.Background(), AnalyzeRequest{Apps: []App{{Name: "a", Source: "x"}}})
+	_, err := c.Analyze(context.Background(), api.AnalyzeRequest{Apps: []api.App{{Name: "a", Source: "x"}}})
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != 400 {
 		t.Fatalf("err = %v, want 400 APIError", err)
@@ -217,7 +219,7 @@ func TestDeadlineAwareBackoff(t *testing.T) {
 	// give up immediately instead of sleeping into a dead context.
 	ctx, cancel := context.WithDeadline(context.Background(), ft.Now().Add(time.Second))
 	defer cancel()
-	_, err := c.Analyze(ctx, AnalyzeRequest{Apps: []App{{Name: "a", Source: "x"}}})
+	_, err := c.Analyze(ctx, api.AnalyzeRequest{Apps: []api.App{{Name: "a", Source: "x"}}})
 	if err == nil {
 		t.Fatalf("expected error")
 	}
@@ -243,7 +245,7 @@ func TestCircuitBreakerOpensAndRecovers(t *testing.T) {
 		cfg.BreakerCooldown = 10 * time.Second
 	})
 	ctx := context.Background()
-	req := AnalyzeRequest{Apps: []App{{Name: "a", Source: "x"}}}
+	req := api.AnalyzeRequest{Apps: []api.App{{Name: "a", Source: "x"}}}
 
 	for i := 0; i < 2; i++ {
 		if _, err := c.Analyze(ctx, req); err == nil {
@@ -312,7 +314,7 @@ func TestNetworkErrorRetries(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	_, aerr := c.Analyze(context.Background(), AnalyzeRequest{Apps: []App{{Name: "a", Source: "x"}}})
+	_, aerr := c.Analyze(context.Background(), api.AnalyzeRequest{Apps: []api.App{{Name: "a", Source: "x"}}})
 	if aerr == nil {
 		t.Fatalf("expected transport failure")
 	}
@@ -348,7 +350,7 @@ func TestTraceIDStableAcrossRetries(t *testing.T) {
 	defer ts.Close()
 	c, _ := newTestClient(t, ts, nil)
 
-	j, err := c.Analyze(context.Background(), AnalyzeRequest{Apps: []App{{Name: "a", Source: "x"}}})
+	j, err := c.Analyze(context.Background(), api.AnalyzeRequest{Apps: []api.App{{Name: "a", Source: "x"}}})
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -377,7 +379,7 @@ func TestTimingsFlagOnWire(t *testing.T) {
 	defer ts.Close()
 	c, _ := newTestClient(t, ts, nil)
 
-	if _, err := c.Analyze(context.Background(), AnalyzeRequest{Apps: []App{{Name: "a", Source: "x"}}, Timings: true}); err != nil {
+	if _, err := c.Analyze(context.Background(), api.AnalyzeRequest{Apps: []api.App{{Name: "a", Source: "x"}}, Timings: true}); err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
 	var req struct {
@@ -441,7 +443,7 @@ func TestRetryAfterHTTPDateFloorsBackoff(t *testing.T) {
 	ft.now = wall
 	ft.mu.Unlock()
 
-	if _, err := c.Analyze(context.Background(), AnalyzeRequest{Apps: []App{{Name: "a", Source: "x"}}}); err != nil {
+	if _, err := c.Analyze(context.Background(), api.AnalyzeRequest{Apps: []api.App{{Name: "a", Source: "x"}}}); err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
 	got := ft.Slept()
@@ -539,7 +541,7 @@ func TestClientHalfOpenConcurrentCallers(t *testing.T) {
 	c.br.record(false, ft.Now())
 
 	ft.Advance(11 * time.Second)
-	req := AnalyzeRequest{Apps: []App{{Name: "a", Source: "x"}}}
+	req := api.AnalyzeRequest{Apps: []api.App{{Name: "a", Source: "x"}}}
 	var wg sync.WaitGroup
 	var fastFails atomic.Int64
 	errs := make(chan error, 8)

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/soteria-analysis/soteria/internal/api"
 	"github.com/soteria-analysis/soteria/internal/client"
 	"github.com/soteria-analysis/soteria/internal/obs"
 	"github.com/soteria-analysis/soteria/internal/report"
@@ -157,17 +158,11 @@ func (c *Cluster) Owner(key string) string { return c.ring.Owner(key) }
 // IsLocal reports whether this node owns key.
 func (c *Cluster) IsLocal(key string) bool { return c.ring.Owner(key) == c.self }
 
-// Remote reports whether node is a known member other than self.
-func (c *Cluster) Remote(node string) bool {
-	_, ok := c.peers[node]
-	return ok
-}
-
 // Forward relays a pre-encoded analyze/batch body to node and returns
 // the owner's job response. The forwarded-hop marker is set so the
 // owner serves it locally whatever its ring says; trace pins the
 // originating request's trace ID across the hop.
-func (c *Cluster) Forward(ctx context.Context, node, path string, body []byte, trace string) (*client.Job, error) {
+func (c *Cluster) Forward(ctx context.Context, node, path string, body []byte, trace string) (*api.Job, error) {
 	p, ok := c.peers[node]
 	if !ok {
 		return nil, errSelfNotMember(node) // routing bug: forwarding to self or a stranger

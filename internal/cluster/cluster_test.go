@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/soteria-analysis/soteria/internal/client"
+	"github.com/soteria-analysis/soteria/internal/api"
 	"github.com/soteria-analysis/soteria/internal/report"
 	"github.com/soteria-analysis/soteria/internal/store"
 )
@@ -67,11 +67,11 @@ func (p *fakePeer) handle(w http.ResponseWriter, r *http.Request) {
 		}
 	case r.URL.Path == "/v1/analyze":
 		p.forwards++
-		if r.Header.Get(client.ForwardedHeader) == "" {
+		if r.Header.Get(api.ForwardedHeader) == "" {
 			http.Error(w, `{"error":"missing forward marker"}`, http.StatusBadRequest)
 			return
 		}
-		w.Header().Set(client.TraceHeader, r.Header.Get(client.TraceHeader))
+		w.Header().Set(api.TraceHeader, r.Header.Get(api.TraceHeader))
 		fmt.Fprintln(w, `{"job_id":"jb-peer","status":"done","key":"k","cached":true}`)
 	default:
 		http.Error(w, `{"error":"not found"}`, http.StatusNotFound)

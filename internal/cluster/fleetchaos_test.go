@@ -32,6 +32,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/soteria-analysis/soteria/internal/api"
 	"github.com/soteria-analysis/soteria/internal/client"
 	"github.com/soteria-analysis/soteria/internal/paperapps"
 )
@@ -146,8 +147,8 @@ func fleetClient(t *testing.T, url string) *client.Client {
 
 // variantApp derives distinct analysis inputs so each submission has
 // its own content address and ring position.
-func variantApp(i int) client.App {
-	return client.App{
+func variantApp(i int) api.App {
+	return api.App{
 		Name:   fmt.Sprintf("fleet-app-%d", i),
 		Source: fmt.Sprintf("// fleet variant %d\n%s", i, paperapps.SmokeAlarm),
 	}
@@ -190,7 +191,7 @@ func TestFleetKillOneNodeMidLoad(t *testing.T) {
 	// on the victim's shard — the convergence probes for later.
 	var victimOwned []int
 	for i := 0; i < 30 && len(victimOwned) < 2; i++ {
-		j, err := ca.Analyze(ctx, client.AnalyzeRequest{Apps: []client.App{variantApp(i)}})
+		j, err := ca.Analyze(ctx, api.AnalyzeRequest{Apps: []api.App{variantApp(i)}})
 		if err != nil {
 			t.Fatalf("warm submit %d: %v", i, err)
 		}
@@ -211,8 +212,8 @@ func TestFleetKillOneNodeMidLoad(t *testing.T) {
 	cv := fleetClient(t, victim.url)
 	ids := make([]string, acceptedJobs)
 	for i := 0; i < acceptedJobs; i++ {
-		j, err := cv.Analyze(ctx, client.AnalyzeRequest{
-			Apps:           []client.App{variantApp(100 + i)},
+		j, err := cv.Analyze(ctx, api.AnalyzeRequest{
+			Apps:           []api.App{variantApp(100 + i)},
 			Async:          true,
 			IdempotencyKey: fmt.Sprintf("fleet-chaos-%d", i),
 		})
@@ -241,7 +242,7 @@ func TestFleetKillOneNodeMidLoad(t *testing.T) {
 				c = cb
 			}
 			for i := 0; i < 20; i++ {
-				j, err := c.Analyze(ctx, client.AnalyzeRequest{Apps: []client.App{variantApp(200 + w*100 + i)}})
+				j, err := c.Analyze(ctx, api.AnalyzeRequest{Apps: []api.App{variantApp(200 + w*100 + i)}})
 				if err != nil {
 					loadErrs.Add(1)
 					firstErr.CompareAndSwap(nil, fmt.Sprintf("worker %d req %d: %v", w, i, err))
@@ -280,7 +281,7 @@ func TestFleetKillOneNodeMidLoad(t *testing.T) {
 	// forward breaker cools down in ~2s; poll past it.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		j, err := ca.Analyze(ctx, client.AnalyzeRequest{Apps: []client.App{variantApp(victimOwned[0])}})
+		j, err := ca.Analyze(ctx, api.AnalyzeRequest{Apps: []api.App{variantApp(victimOwned[0])}})
 		if err == nil && j.Status == "done" && j.Cached {
 			break
 		}
@@ -311,7 +312,7 @@ func clusterStatusOf(t *testing.T, url string) clusterStatus {
 	return st
 }
 
-func waitTerminal(t *testing.T, c *client.Client, ctx context.Context, id string, limit time.Duration) *client.Job {
+func waitTerminal(t *testing.T, c *client.Client, ctx context.Context, id string, limit time.Duration) *api.Job {
 	t.Helper()
 	deadline := time.Now().Add(limit)
 	for {
@@ -319,7 +320,7 @@ func waitTerminal(t *testing.T, c *client.Client, ctx context.Context, id string
 		if err != nil {
 			t.Fatalf("job %s lost after restart: %v", id, err)
 		}
-		if j.Terminal() {
+		if j.Status.Terminal() {
 			return j
 		}
 		if time.Now().After(deadline) {

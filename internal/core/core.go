@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"github.com/soteria-analysis/soteria/internal/bmc"
 	"github.com/soteria-analysis/soteria/internal/ctl"
@@ -59,20 +58,12 @@ func DefaultOptions() Options {
 	return Options{General: true, AppSpecific: true, Taint: true}
 }
 
-// Timings records per-stage durations (§6.3).
-type Timings struct {
-	IR       time.Duration // parsing + IR extraction
-	Model    time.Duration // symbolic execution + state model
-	Checking time.Duration // property verification
-}
-
 // Analysis is the result of analyzing one app or an environment.
 type Analysis struct {
 	Apps       []*ir.App
 	Model      *statemodel.Model
 	Kripke     *kripke.Structure
 	Violations []properties.Violation
-	Timings    Timings
 	// Incomplete is true when part of the analysis was skipped —
 	// resource budget exhausted, cancellation, or a contained internal
 	// fault. The populated fields are still valid.
@@ -119,7 +110,6 @@ func AnalyzeSources(opts Options, sources ...NamedSource) (*Analysis, error) {
 // yielding a partial result with Incomplete set.
 func AnalyzeSourcesContext(ctx context.Context, opts Options, sources ...NamedSource) (*Analysis, error) {
 	var apps []*ir.App
-	t0 := time.Now()
 	irsp := obs.Start(ctx, "ir")
 	for _, s := range sources {
 		app, err := ir.BuildSource(s.Name, s.Source)
@@ -131,12 +121,7 @@ func AnalyzeSourcesContext(ctx context.Context, opts Options, sources ...NamedSo
 	}
 	irsp.SetInt("apps", int64(len(apps)))
 	irsp.End()
-	a, err := AnalyzeAppsContext(ctx, opts, apps...)
-	if err != nil {
-		return nil, err
-	}
-	a.Timings.IR = time.Since(t0) - a.Timings.Model - a.Timings.Checking
-	return a, nil
+	return AnalyzeAppsContext(ctx, opts, apps...)
 }
 
 // AnalyzeApps models and checks already-extracted apps.
@@ -160,7 +145,6 @@ func AnalyzeAppsContext(ctx context.Context, opts Options, apps ...*ir.App) (*An
 	err := guard.Run("core.analyze", func() error {
 		faultinject.Hit(faultinject.SiteAnalyze)
 
-		t0 := time.Now()
 		msp := obs.Start(ctx, "statemodel")
 		merr := guard.Run("statemodel", func() error {
 			faultinject.Hit(faultinject.SiteStateModel)
@@ -184,7 +168,6 @@ func AnalyzeAppsContext(ctx context.Context, opts Options, apps ...*ir.App) (*An
 			})
 			ksp.End()
 		}
-		a.Timings.Model = time.Since(t0)
 		if merr != nil {
 			if recoverable(merr) {
 				a.markIncomplete(guard.Diagnose("statemodel", "", "", merr))
@@ -193,8 +176,6 @@ func AnalyzeAppsContext(ctx context.Context, opts Options, apps ...*ir.App) (*An
 			return merr
 		}
 
-		t1 := time.Now()
-		defer func() { a.Timings.Checking = time.Since(t1) }()
 		if opts.General {
 			gsp := obs.Start(ctx, "check.general")
 			gerr := guard.Run("properties.general", func() error {

@@ -1,15 +1,20 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
+	"time"
 
+	"github.com/soteria-analysis/soteria/internal/obs"
 	"github.com/soteria-analysis/soteria/internal/paperapps"
 )
 
 func TestAnalyzeSourcesSingle(t *testing.T) {
-	a, err := AnalyzeSources(DefaultOptions(),
+	root := obs.NewRoot("analysis")
+	a, err := AnalyzeSourcesContext(obs.WithSpan(context.Background(), root), DefaultOptions(),
 		NamedSource{Name: "smoke-alarm", Source: paperapps.SmokeAlarm})
+	root.End()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,8 +27,12 @@ func TestAnalyzeSourcesSingle(t *testing.T) {
 	if a.Kripke == nil || a.Kripke.N != 96 {
 		t.Error("kripke missing or wrong size")
 	}
-	if a.Timings.Model <= 0 || a.Timings.Checking <= 0 {
-		t.Errorf("timings = %+v", a.Timings)
+	phase := map[string]time.Duration{}
+	for _, sp := range root.Children() {
+		phase[sp.Name()] += sp.Duration()
+	}
+	if phase["statemodel"] <= 0 || phase["check"] <= 0 {
+		t.Errorf("span durations = %v", phase)
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"github.com/soteria-analysis/soteria/internal/maliot"
 	"github.com/soteria-analysis/soteria/internal/market"
 	"github.com/soteria-analysis/soteria/internal/modelcheck"
+	"github.com/soteria-analysis/soteria/internal/obs"
 	"github.com/soteria-analysis/soteria/internal/paperapps"
 	"github.com/soteria-analysis/soteria/internal/properties"
 	"github.com/soteria-analysis/soteria/internal/report"
@@ -302,18 +303,6 @@ func Fig11b() (*report.Series, error) {
 		ms     float64
 	}
 	var pts []point
-	// Analysis.Timings.Model is exactly the measured span: state-model
-	// extraction plus Kripke construction. The shared cache is bypassed
-	// here (nil) so every point is a fresh measurement, not a replay of
-	// an earlier table's timing.
-	addPoints := func(results []core.BatchResult) {
-		for _, r := range results {
-			pts = append(pts, point{
-				states: len(r.Analysis.Model.States),
-				ms:     float64(r.Analysis.Timings.Model.Microseconds()) / 1000,
-			})
-		}
-	}
 	all := market.All()
 	items := make([]core.BatchItem, len(all))
 	for i, spec := range all {
@@ -332,14 +321,32 @@ func Fig11b() (*report.Series, error) {
 		}
 		items = append(items, core.BatchItem{Key: g.ID, Sources: srcs})
 	}
+	// A point's time is its item's statemodel and kripke spans: state-
+	// model extraction plus Kripke construction. The shared cache is
+	// bypassed here (nil) so every point is a fresh measurement, not a
+	// replay of an earlier table's timing.
+	root := obs.NewRoot("fig11b")
 	bo := core.BatchOptions{Options: modelOnly, Parallel: Parallel}
-	results := core.AnalyzeBatch(context.Background(), bo, items...)
+	results := core.AnalyzeBatch(obs.WithSpan(context.Background(), root), bo, items...)
+	root.End()
+	modelTime := map[string]time.Duration{}
+	for _, item := range root.Children() {
+		key, _ := item.Str("key")
+		for _, sp := range item.Children() {
+			if n := sp.Name(); n == "statemodel" || n == "kripke" {
+				modelTime[key] += sp.Duration()
+			}
+		}
+	}
 	for _, r := range results {
 		if r.Err != nil {
 			return nil, r.Err
 		}
+		pts = append(pts, point{
+			states: len(r.Analysis.Model.States),
+			ms:     float64(modelTime[r.Key].Microseconds()) / 1000,
+		})
 	}
-	addPoints(results)
 	sort.Slice(pts, func(i, j int) bool { return pts[i].states < pts[j].states })
 	// Bucket identical state counts (average the times).
 	for i := 0; i < len(pts); {

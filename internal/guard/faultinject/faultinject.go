@@ -71,12 +71,6 @@ func Sites() []string {
 	}
 }
 
-// ErrSites returns the filesystem error-injection sites consulted via
-// Err rather than Hit.
-func ErrSites() []string {
-	return []string{SiteFSCreate, SiteFSWrite, SiteFSSync, SiteFSRename, SiteFSSyncDir}
-}
-
 type faultKind int
 
 const (

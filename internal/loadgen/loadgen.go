@@ -31,6 +31,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/soteria-analysis/soteria/internal/api"
 	"github.com/soteria-analysis/soteria/internal/market"
 )
 
@@ -45,7 +46,7 @@ type Item struct {
 func MarketItems() []Item {
 	var items []Item
 	for _, a := range market.All() {
-		body, _ := json.Marshal(map[string]string{"name": a.ID, "source": a.Source})
+		body, _ := json.Marshal(api.AnalyzeRequest{Name: a.ID, Source: a.Source})
 		items = append(items, Item{Key: a.ID, Body: body})
 	}
 	return items
@@ -62,7 +63,7 @@ func SyntheticItems(n int) []Item {
 		a := base[i%len(base)]
 		name := fmt.Sprintf("%s-v%d", a.ID, i)
 		src := fmt.Sprintf("%s\n// synthetic variant %d\n", a.Source, i)
-		body, _ := json.Marshal(map[string]string{"name": name, "source": src})
+		body, _ := json.Marshal(api.AnalyzeRequest{Name: name, Source: src})
 		items = append(items, Item{Key: name, Body: body})
 	}
 	return items
@@ -326,10 +327,7 @@ func doRequest(ctx context.Context, hc *http.Client, cfg Config, n int, items []
 		return
 	}
 	defer resp.Body.Close()
-	var body struct {
-		Cached bool   `json:"cached"`
-		Error  string `json:"error"`
-	}
+	var body api.Job
 	_ = json.NewDecoder(resp.Body).Decode(&body)
 	col.record(lat, body.Cached, resp.StatusCode, nil)
 }
@@ -366,10 +364,7 @@ func sampleQueues(ctx context.Context, wg *sync.WaitGroup, hc *http.Client, targ
 				if err != nil {
 					continue
 				}
-				var st struct {
-					QueueDepth int64 `json:"queue_depth"`
-					Inflight   int64 `json:"inflight"`
-				}
+				var st api.ClusterLoad
 				err = json.NewDecoder(resp.Body).Decode(&st)
 				resp.Body.Close()
 				if err != nil {

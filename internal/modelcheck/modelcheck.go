@@ -113,14 +113,6 @@ type MemoStats struct {
 	Entries int
 }
 
-// HitRate is Hits/Lookups (0 when no lookups happened).
-func (s MemoStats) HitRate() float64 {
-	if s.Lookups == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Lookups)
-}
-
 // Stats snapshots the memo's counters (zero for nil). The daemon
 // aggregates these onto /metrics and the tracer attaches them to each
 // sweep's span.

@@ -55,23 +55,12 @@ func (h *Histogram) Observe(d time.Duration) {
 	if h == nil {
 		return
 	}
-	h.observe(d.Seconds(), d.Nanoseconds())
-}
-
-// ObserveSeconds records one value given in seconds.
-func (h *Histogram) ObserveSeconds(sec float64) {
-	if h == nil {
-		return
-	}
-	h.observe(sec, int64(sec*1e9))
-}
-
-func (h *Histogram) observe(sec float64, ns int64) {
-	// First bound >= sec; the overflow bucket is len(bounds).
-	i := sort.SearchFloat64s(h.bounds, sec)
+	// First bound >= the duration in seconds; the overflow bucket is
+	// len(bounds).
+	i := sort.SearchFloat64s(h.bounds, d.Seconds())
 	h.counts[i].Add(1)
 	h.total.Add(1)
-	h.sumNS.Add(ns)
+	h.sumNS.Add(d.Nanoseconds())
 }
 
 // HistogramSnapshot is a consistent-enough point-in-time copy for

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/soteria-analysis/soteria/internal/api"
 	"github.com/soteria-analysis/soteria/internal/core"
 	"github.com/soteria-analysis/soteria/internal/properties"
 	"github.com/soteria-analysis/soteria/internal/taint"
@@ -33,52 +34,6 @@ func tooLarge(format string, args ...any) *httpError {
 	return &httpError{code: http.StatusRequestEntityTooLarge, msg: fmt.Sprintf(format, args...)}
 }
 
-// appSource is one named Groovy source in a request.
-type appSource struct {
-	Name   string `json:"name"`
-	Source string `json:"source"`
-}
-
-// requestOptions selects property families and resource bounds for a
-// job. Absent booleans default to true (check everything), matching
-// core.DefaultOptions.
-type requestOptions struct {
-	General     *bool    `json:"general,omitempty"`
-	AppSpecific *bool    `json:"app_specific,omitempty"`
-	Taint       *bool    `json:"taint,omitempty"`
-	Properties  []string `json:"properties,omitempty"`
-	TimeoutMS   int64    `json:"timeout_ms,omitempty"`
-	MaxStates   int      `json:"max_states,omitempty"`
-	Parallel    int      `json:"parallel,omitempty"`
-}
-
-// analyzeRequest is the POST /v1/analyze body: one app (name+source)
-// or a multi-app union (apps). IdempotencyKey (or the Idempotency-Key
-// header) makes resubmissions safe: the key's first accepted job
-// answers every retry instead of running again.
-type analyzeRequest struct {
-	Name           string         `json:"name,omitempty"`
-	Source         string         `json:"source,omitempty"`
-	Apps           []appSource    `json:"apps,omitempty"`
-	Options        requestOptions `json:"options,omitempty"`
-	Async          bool           `json:"async,omitempty"`
-	IdempotencyKey string         `json:"idempotency_key,omitempty"`
-	// Timings embeds the job's span tree (and trace ID) in the
-	// response records. Timing data rides the response only — it is
-	// never part of the stored, content-addressed record.
-	Timings bool `json:"timings,omitempty"`
-}
-
-// batchRequest is the POST /v1/batch body.
-type batchRequest struct {
-	Items          []batchRequestItem `json:"items"`
-	Options        requestOptions     `json:"options,omitempty"`
-	Async          bool               `json:"async,omitempty"`
-	IdempotencyKey string             `json:"idempotency_key,omitempty"`
-	// Timings embeds each job's span tree in the response records.
-	Timings bool `json:"timings,omitempty"`
-}
-
 // validateIdemKey bounds a client-supplied idempotency key: visible
 // ASCII, at most 128 bytes — it is journaled and indexed verbatim.
 func validateIdemKey(k string) *httpError {
@@ -91,12 +46,6 @@ func validateIdemKey(k string) *httpError {
 		}
 	}
 	return nil
-}
-
-// batchRequestItem is one unit of a batch: an app or multi-app union.
-type batchRequestItem struct {
-	Key  string      `json:"key,omitempty"`
-	Apps []appSource `json:"apps"`
 }
 
 // decodeJSON strictly parses data into dst: unknown fields and
@@ -131,7 +80,7 @@ var catalogueIDs = sync.OnceValue(func() map[string]bool {
 
 // validateSources checks a request's app list against the per-source
 // size cap and non-emptiness.
-func validateSources(apps []appSource, maxSource int, where string) *httpError {
+func validateSources(apps []api.App, maxSource int, where string) *httpError {
 	if len(apps) == 0 {
 		return badRequest("%s: no app sources", where)
 	}
@@ -152,7 +101,7 @@ func validateSources(apps []appSource, maxSource int, where string) *httpError {
 // coreOptions validates and converts request options. The job's wall
 // clock is governed by the server's JobTimeout; a request may lower
 // it, never raise it.
-func (s *Server) coreOptions(o requestOptions) (core.Options, *httpError) {
+func (s *Server) coreOptions(o api.Options) (core.Options, *httpError) {
 	opts := core.DefaultOptions()
 	if o.General != nil {
 		opts.General = *o.General
@@ -203,7 +152,7 @@ func (s *Server) coreOptions(o requestOptions) (core.Options, *httpError) {
 // ready-to-run job (minus its ID). It is the fuzz target's entry
 // point: any input must yield either a job or a 4xx httpError.
 func (s *Server) parseAnalyze(data []byte) (*job, *httpError) {
-	var req analyzeRequest
+	var req api.AnalyzeRequest
 	if herr := decodeJSON(data, &req); herr != nil {
 		return nil, herr
 	}
@@ -212,7 +161,7 @@ func (s *Server) parseAnalyze(data []byte) (*job, *httpError) {
 		if len(apps) > 0 {
 			return nil, badRequest("provide either name+source or apps, not both")
 		}
-		apps = []appSource{{Name: req.Name, Source: req.Source}}
+		apps = []api.App{{Name: req.Name, Source: req.Source}}
 	}
 	if herr := validateSources(apps, s.cfg.MaxSourceBytes, "analyze"); herr != nil {
 		return nil, herr
@@ -234,14 +183,14 @@ func (s *Server) parseAnalyze(data []byte) (*job, *httpError) {
 		opts:    opts,
 		async:   req.Async,
 		timings: req.Timings,
-		status:  statusQueued,
+		status:  api.StatusQueued,
 		done:    make(chan struct{}),
 	}, nil
 }
 
 // parseBatch decodes and validates a POST /v1/batch body.
 func (s *Server) parseBatch(data []byte) (*job, *httpError) {
-	var req batchRequest
+	var req api.BatchRequest
 	if herr := decodeJSON(data, &req); herr != nil {
 		return nil, herr
 	}
@@ -286,7 +235,7 @@ func (s *Server) parseBatch(data []byte) (*job, *httpError) {
 		async:   req.Async,
 		timings: req.Timings,
 		breq:    &req,
-		status:  statusQueued,
+		status:  api.StatusQueued,
 		done:    make(chan struct{}),
 	}, nil
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/soteria-analysis/soteria/internal/api"
 	"github.com/soteria-analysis/soteria/internal/cluster"
 	"github.com/soteria-analysis/soteria/internal/core"
 	"github.com/soteria-analysis/soteria/internal/market"
@@ -206,7 +207,7 @@ func TestFleetCorpusByteIdentical(t *testing.T) {
 // owned by the given member.
 func appOwnedBy(t *testing.T, s *Server, cl *cluster.Cluster, member string) market.AppSpec {
 	t.Helper()
-	opts, herr := s.coreOptions(requestOptions{})
+	opts, herr := s.coreOptions(api.Options{})
 	if herr != nil {
 		t.Fatalf("coreOptions: %v", herr)
 	}
@@ -259,7 +260,7 @@ func TestFleetLoopGuard(t *testing.T) {
 	data, _ := json.Marshal(map[string]any{"name": app.ID, "source": app.Source})
 	req, _ := http.NewRequest(http.MethodPost, f.urls[0]+"/v1/analyze", bytes.NewReader(data))
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(ForwardedHeader, "1")
+	req.Header.Set(api.ForwardedHeader, "1")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatalf("analyze: %v", err)

@@ -9,15 +9,11 @@ import (
 	"strconv"
 	"time"
 
+	"github.com/soteria-analysis/soteria/internal/api"
 	"github.com/soteria-analysis/soteria/internal/core"
 	"github.com/soteria-analysis/soteria/internal/obs"
 	"github.com/soteria-analysis/soteria/internal/report"
 )
-
-// TraceHeader carries a job's trace ID on requests (client-minted,
-// stable across retries) and responses (the ID the daemon adopted or
-// minted).
-const TraceHeader = "X-Soteria-Trace"
 
 // Handler returns the service's HTTP API:
 //
@@ -63,9 +59,9 @@ func (s *Server) logRequests(next http.Handler) http.Handler {
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		next.ServeHTTP(rec, r)
-		trace := rec.Header().Get(TraceHeader)
+		trace := rec.Header().Get(api.TraceHeader)
 		if trace == "" {
-			if h := r.Header.Get(TraceHeader); obs.ValidTraceID(h) {
+			if h := r.Header.Get(api.TraceHeader); obs.ValidTraceID(h) {
 				trace = h
 			}
 		}
@@ -82,38 +78,10 @@ func (s *Server) logRequests(next http.Handler) http.Handler {
 
 // requestTrace adopts a valid client-supplied trace ID or mints one.
 func requestTrace(r *http.Request) string {
-	if h := r.Header.Get(TraceHeader); obs.ValidTraceID(h) {
+	if h := r.Header.Get(api.TraceHeader); obs.ValidTraceID(h) {
 		return h
 	}
 	return obs.NewTraceID()
-}
-
-// jobResponse is the wire form of a job's state: the analyze and
-// batch endpoints and the jobs poll all speak it.
-type jobResponse struct {
-	JobID     string    `json:"job_id"`
-	Status    jobStatus `json:"status"`
-	Poll      string    `json:"poll,omitempty"`
-	ElapsedMS int64     `json:"elapsed_ms,omitempty"`
-	// Single-analysis fields.
-	Key    string         `json:"key,omitempty"`
-	Cached bool           `json:"cached,omitempty"`
-	Result *report.Record `json:"result,omitempty"`
-	Error  string         `json:"error,omitempty"`
-	// Node attributes a routed result to the fleet member that
-	// produced it (empty on single-node daemons and local results).
-	Node string `json:"node,omitempty"`
-	// Batch fields.
-	Results []batchItemResponse `json:"results,omitempty"`
-}
-
-type batchItemResponse struct {
-	Key    string         `json:"key"`
-	Store  string         `json:"store_key"`
-	Cached bool           `json:"cached"`
-	Result *report.Record `json:"result,omitempty"`
-	Error  string         `json:"error,omitempty"`
-	Node   string         `json:"node,omitempty"`
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -160,10 +128,10 @@ func (s *Server) rejectSubmit(w http.ResponseWriter, err error) {
 func respondJob(w http.ResponseWriter, code int, j *job) {
 	status, results, elapsed := j.snapshot()
 	if j.trace != "" {
-		w.Header().Set(TraceHeader, j.trace)
+		w.Header().Set(api.TraceHeader, j.trace)
 	}
-	resp := jobResponse{JobID: j.id, Status: status, ElapsedMS: elapsed.Milliseconds()}
-	if status != statusDone && status != statusFailed {
+	resp := api.Job{JobID: j.id, Status: status, ElapsedMS: elapsed.Milliseconds()}
+	if !status.Terminal() {
 		resp.Poll = "/v1/jobs/" + j.id
 		writeJSON(w, code, resp)
 		return
@@ -182,20 +150,14 @@ func respondJob(w http.ResponseWriter, code int, j *job) {
 	}
 	if j.batch {
 		for _, it := range results {
-			resp.Results = append(resp.Results, batchItemResponse{
-				Key:    it.Key,
-				Store:  it.StoreKey,
-				Cached: it.Cached,
-				Result: withTiming(it.Record),
-				Error:  it.Err,
-				Node:   it.Node,
-			})
+			it.Result = withTiming(it.Result)
+			resp.Results = append(resp.Results, it)
 		}
 	} else if len(results) == 1 {
 		resp.Key = results[0].StoreKey
 		resp.Cached = results[0].Cached
-		resp.Result = withTiming(results[0].Record)
-		resp.Error = results[0].Err
+		resp.Result = withTiming(results[0].Result)
+		resp.Error = results[0].Error
 		resp.Node = results[0].Node
 	}
 	writeJSON(w, code, resp)
@@ -272,7 +234,7 @@ func (s *Server) finishOrQueue(w http.ResponseWriter, r *http.Request, j *job) {
 	// idempotency index, the journal, the queue): every log line and
 	// response about this job carries the same ID.
 	j.trace = requestTrace(r)
-	j.forwarded = r.Header.Get(ForwardedHeader) != ""
+	j.forwarded = r.Header.Get(api.ForwardedHeader) != ""
 	if j.idemKey != "" {
 		if prev, claimed := s.claimIdem(j.idemKey, j); !claimed {
 			// Resubmission: the key's original job answers, whatever
@@ -281,7 +243,7 @@ func (s *Server) finishOrQueue(w http.ResponseWriter, r *http.Request, j *job) {
 			// handle.
 			s.idemHits.Add(1)
 			code := http.StatusOK
-			if st, _, _ := prev.snapshot(); st != statusDone && st != statusFailed {
+			if st, _, _ := prev.snapshot(); !st.Terminal() {
 				code = http.StatusAccepted
 			}
 			respondJob(w, code, prev)
@@ -301,7 +263,7 @@ func (s *Server) finishOrQueue(w http.ResponseWriter, r *http.Request, j *job) {
 		// acknowledged job a crash would silently lose.
 		s.releaseIdem(j.idemKey, j)
 		s.logger.Error("journal accepted append failed", "job", j.id, "trace", j.trace, "error", err)
-		w.Header().Set(TraceHeader, j.trace)
+		w.Header().Set(api.TraceHeader, j.trace)
 		writeError(w, http.StatusServiceUnavailable, "job journal write failed")
 		return
 	}
@@ -311,7 +273,7 @@ func (s *Server) finishOrQueue(w http.ResponseWriter, r *http.Request, j *job) {
 		if jerr := s.journal.append(journalEvent{Op: opRejected, Job: j.id, Idem: j.idemKey}); jerr != nil {
 			s.logger.Error("journal rejected append failed", "job", j.id, "trace", j.trace, "error", jerr)
 		}
-		w.Header().Set(TraceHeader, j.trace)
+		w.Header().Set(api.TraceHeader, j.trace)
 		s.releaseIdem(j.idemKey, j)
 		s.rejectSubmit(w, err)
 		return
@@ -323,7 +285,7 @@ func (s *Server) finishOrQueue(w http.ResponseWriter, r *http.Request, j *job) {
 	select {
 	case <-j.done:
 		code := http.StatusOK
-		if st, _, _ := j.snapshot(); st == statusFailed {
+		if st, _, _ := j.snapshot(); st == api.StatusFailed {
 			code = http.StatusUnprocessableEntity
 		}
 		respondJob(w, code, j)
@@ -345,19 +307,19 @@ func (s *Server) finishFromStore(j *job) bool {
 	root := obs.NewRoot("job")
 	root.Set("trace", j.trace)
 	root.Set("cached", "true")
-	results := make([]itemResult, len(j.items))
+	results := make([]api.BatchItem, len(j.items))
 	for i, it := range j.items {
 		key := core.AnalysisKey(it.Sources, j.opts)
 		rec, ok := s.backend.Get(key)
 		if !ok {
 			return false
 		}
-		results[i] = itemResult{Key: it.Key, StoreKey: key, Cached: true, Record: rec}
+		results[i] = api.BatchItem{Key: it.Key, StoreKey: key, Cached: true, Result: rec}
 	}
 	s.jobsDone.Add(1)
 	root.End()
 	j.mu.Lock()
-	j.status = statusDone
+	j.status = api.StatusDone
 	j.results = results
 	j.elapsed = root.Duration()
 	j.span = root

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/soteria-analysis/soteria/internal/api"
 	"github.com/soteria-analysis/soteria/internal/core"
 	"github.com/soteria-analysis/soteria/internal/fsio"
 	"github.com/soteria-analysis/soteria/internal/guard"
@@ -51,27 +52,27 @@ const (
 // carry per-item results by store key (the record bytes live in the
 // content-addressed store, not the journal).
 type journalEvent struct {
-	Op        string          `json:"op"`
-	Job       string          `json:"job"`
-	Idem      string          `json:"idem,omitempty"`
-	Batch     bool            `json:"batch,omitempty"`
-	Trace     string          `json:"trace,omitempty"`
-	Items     []journalItem   `json:"items,omitempty"`
-	Opts      *journalOptions `json:"opts,omitempty"`
-	Results   []journalResult `json:"results,omitempty"`
-	ElapsedMS int64           `json:"elapsed_ms,omitempty"`
+	Op        string                 `json:"op"`
+	Job       string                 `json:"job"`
+	Idem      string                 `json:"idem,omitempty"`
+	Batch     bool                   `json:"batch,omitempty"`
+	Trace     string                 `json:"trace,omitempty"`
+	Items     []api.BatchRequestItem `json:"items,omitempty"`
+	Opts      *journalOptions        `json:"opts,omitempty"`
+	Results   []journalResult        `json:"results,omitempty"`
+	ElapsedMS int64                  `json:"elapsed_ms,omitempty"`
 }
 
-type journalItem struct {
-	Key  string      `json:"key,omitempty"`
-	Apps []appSource `json:"apps"`
-}
-
-// journalOptions is the serializable form of core.Options (Parallel
-// included: a replayed job should re-run as submitted).
+// journalOptions is the on-disk record of a job's resolved
+// core.Options — after the server's defaults and limit clamps, unlike
+// the request's api.Options — so a replayed job re-runs exactly as
+// accepted, Parallel included. The family switches are always written;
+// an entry without "taint" predates the field and replays with taint
+// on, the core.DefaultOptions value it ran with.
 type journalOptions struct {
 	General         bool     `json:"general"`
 	AppSpecific     bool     `json:"app_specific"`
+	Taint           *bool    `json:"taint"`
 	PropertyIDs     []string `json:"property_ids,omitempty"`
 	Parallel        int      `json:"parallel,omitempty"`
 	TimeoutMS       int64    `json:"timeout_ms,omitempty"`
@@ -92,6 +93,7 @@ func optionsToJournal(o core.Options) *journalOptions {
 	return &journalOptions{
 		General:         o.General,
 		AppSpecific:     o.AppSpecific,
+		Taint:           &o.Taint,
 		PropertyIDs:     o.PropertyIDs,
 		Parallel:        o.Parallel,
 		TimeoutMS:       o.Limits.Timeout.Milliseconds(),
@@ -106,9 +108,14 @@ func (jo *journalOptions) core() core.Options {
 	if jo == nil {
 		return core.DefaultOptions()
 	}
+	taint := core.DefaultOptions().Taint
+	if jo.Taint != nil {
+		taint = *jo.Taint
+	}
 	return core.Options{
 		General:     jo.General,
 		AppSpecific: jo.AppSpecific,
+		Taint:       taint,
 		PropertyIDs: jo.PropertyIDs,
 		Parallel:    jo.Parallel,
 		Limits: guard.Limits{
@@ -132,9 +139,9 @@ func acceptedEvent(j *job) journalEvent {
 		Opts:  optionsToJournal(j.opts),
 	}
 	for _, it := range j.items {
-		ji := journalItem{Key: it.Key}
+		ji := api.BatchRequestItem{Key: it.Key}
 		for _, s := range it.Sources {
-			ji.Apps = append(ji.Apps, appSource{Name: s.Name, Source: s.Source})
+			ji.Apps = append(ji.Apps, api.App{Name: s.Name, Source: s.Source})
 		}
 		ev.Items = append(ev.Items, ji)
 	}
@@ -152,7 +159,7 @@ func jobFromAccepted(ev journalEvent) *job {
 		trace:   ev.Trace,
 		async:   true,
 		opts:    ev.Opts.core(),
-		status:  statusQueued,
+		status:  api.StatusQueued,
 		done:    make(chan struct{}),
 	}
 	for _, it := range ev.Items {

@@ -8,11 +8,14 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
+	"github.com/soteria-analysis/soteria/internal/api"
 	"github.com/soteria-analysis/soteria/internal/core"
 	"github.com/soteria-analysis/soteria/internal/fsio"
+	"github.com/soteria-analysis/soteria/internal/guard"
 	"github.com/soteria-analysis/soteria/internal/guard/faultinject"
 	"github.com/soteria-analysis/soteria/internal/paperapps"
 	"github.com/soteria-analysis/soteria/internal/store"
@@ -39,7 +42,7 @@ func smokeJob(id string) *job {
 		}},
 		opts:   core.DefaultOptions(),
 		async:  true,
-		status: statusQueued,
+		status: api.StatusQueued,
 		done:   make(chan struct{}),
 	}
 }
@@ -61,7 +64,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err := j.append(acceptedEvent(src)); err != nil {
 		t.Fatalf("append accepted: %v", err)
 	}
-	done := terminalEvent(src, statusDone, []itemResult{{StoreKey: "aa", Cached: false}}, 42*time.Millisecond)
+	done := terminalEvent(src, api.StatusDone, []api.BatchItem{{StoreKey: "aa", Cached: false}}, 42*time.Millisecond)
 	if err := j.append(done); err != nil {
 		t.Fatalf("append done: %v", err)
 	}
@@ -206,7 +209,7 @@ func TestReplayDoneAfterCrash(t *testing.T) {
 		t.Fatalf("jobs = %d, want 1", len(out.jobs))
 	}
 	j := out.jobs[0]
-	if j.status != statusDone || len(j.results) != 1 || j.results[0].StoreKey != "cc" {
+	if j.status != api.StatusDone || len(j.results) != 1 || j.results[0].StoreKey != "cc" {
 		t.Fatalf("done-after-crash job: status=%s results=%+v", j.status, j.results)
 	}
 	select {
@@ -251,7 +254,7 @@ func TestReplayDuplicateTerminal(t *testing.T) {
 		{Op: opFailed, Job: j.id, Results: []journalResult{{Err: "late duplicate"}}},
 	}
 	out := replayEvents(evs, nil) // must not panic on double close
-	if len(out.jobs) != 1 || out.jobs[0].status != statusDone {
+	if len(out.jobs) != 1 || out.jobs[0].status != api.StatusDone {
 		t.Fatalf("duplicate terminal replay: %+v", out.jobs)
 	}
 	if out.jobs[0].results[0].StoreKey != "dd" {
@@ -352,7 +355,7 @@ func TestRestartResume(t *testing.T) {
 	if !ok {
 		t.Fatalf("completed job missing from second restart's table")
 	}
-	if status, results, _ := done.snapshot(); status != statusDone || len(results) != 1 || results[0].Record == nil {
+	if status, results, _ := done.snapshot(); status != api.StatusDone || len(results) != 1 || results[0].Result == nil {
 		t.Fatalf("second restart lost the result: %s %+v", status, results)
 	}
 }
@@ -486,6 +489,172 @@ func TestJournalCompactionBounds(t *testing.T) {
 	for _, ev := range events {
 		if len(ev.Items) != 0 {
 			t.Fatalf("compacted history still carries sources: %+v", ev)
+		}
+	}
+}
+
+// journalRoundTrip encodes o into an accepted entry, frames and parses
+// it as replay does, and returns the options replay would run with.
+func journalRoundTrip(t *testing.T, o core.Options) core.Options {
+	t.Helper()
+	line, err := encodeEntry(journalEvent{Op: opAccepted, Job: "0123456789abcdef", Opts: optionsToJournal(o)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, _ := parseJournal(line)
+	if len(events) != 1 {
+		t.Fatalf("entry did not parse back: %s", line)
+	}
+	return events[0].Opts.core()
+}
+
+// forEachField walks every field of typ, recursing into nested
+// structs, and calls visit with the field's dotted name and a setter
+// that gives that field a non-zero value in a value of typ. A field of
+// a type it has no test value for fails the test, so a new option
+// cannot slip past the journal round trip.
+func forEachField(t *testing.T, typ reflect.Type, path string, visit func(path string, set func(reflect.Value))) {
+	t.Helper()
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		idx := i
+		name := path + f.Name
+		if f.Type.Kind() == reflect.Struct {
+			forEachField(t, f.Type, name+".", func(sub string, set func(reflect.Value)) {
+				visit(sub, func(v reflect.Value) { set(v.Field(idx)) })
+			})
+			continue
+		}
+		var val reflect.Value
+		switch {
+		case f.Type == reflect.TypeOf(time.Duration(0)):
+			val = reflect.ValueOf(1500 * time.Millisecond) // the journal keeps milliseconds
+		case f.Type.Kind() == reflect.Bool:
+			val = reflect.ValueOf(true)
+		case f.Type.Kind() == reflect.Int:
+			val = reflect.ValueOf(7)
+		case f.Type == reflect.TypeOf([]string(nil)):
+			val = reflect.ValueOf([]string{"P.10", "T.*"})
+		default:
+			t.Fatalf("field %s: no test value for type %s; extend forEachField", name, f.Type)
+		}
+		visit(name, func(v reflect.Value) { v.Field(idx).Set(val) })
+	}
+}
+
+// TestJournalOptionsCarryEveryField: every field of core.Options and
+// its guard.Limits, set alone to a non-zero value, must survive the
+// journal. A field journalOptions forgets replays at its zero value —
+// the failure that once dropped Taint and re-ran recovered jobs with
+// the taint family off under a different analysis key.
+func TestJournalOptionsCarryEveryField(t *testing.T) {
+	all := core.Options{}
+	forEachField(t, reflect.TypeOf(core.Options{}), "", func(name string, set func(reflect.Value)) {
+		var o core.Options
+		set(reflect.ValueOf(&o).Elem())
+		set(reflect.ValueOf(&all).Elem())
+		if got := journalRoundTrip(t, o); !reflect.DeepEqual(got, o) {
+			t.Errorf("only %s set: replay runs with\n got %+v\nwant %+v", name, got, o)
+		}
+	})
+	if got := journalRoundTrip(t, all); !reflect.DeepEqual(got, all) {
+		t.Errorf("all fields set:\n got %+v\nwant %+v", got, all)
+	}
+	if got, want := journalRoundTrip(t, core.DefaultOptions()), core.DefaultOptions(); !reflect.DeepEqual(got, want) {
+		t.Errorf("defaults:\n got %+v\nwant %+v", got, want)
+	}
+	none := core.Options{}
+	if got := journalRoundTrip(t, none); !reflect.DeepEqual(got, none) {
+		t.Errorf("zero options:\n got %+v\nwant %+v", got, none)
+	}
+}
+
+// TestReplayParentJournal replays a journal written by the previous
+// release's code (testdata/parent-journal.wal): job IDs, idempotency
+// keys, traces, items and options must come back as submitted, the
+// unfinished jobs must re-enqueue, and an entry written before the
+// journal carried "taint" must replay with taint on, as it ran. The
+// accepted entries' items must re-encode to the bytes on disk.
+func TestReplayParentJournal(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "parent-journal.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := journalPath(t)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jr, events, err := openJournal(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jr.close()
+	if jr.replay.TruncatedBytes != 0 || len(events) != 4 {
+		t.Fatalf("replayed %d events, truncated %d bytes; want 4 and 0", len(events), jr.replay.TruncatedBytes)
+	}
+	out := replayEvents(events, nil)
+
+	smoke := []core.BatchItem{{Sources: []core.NamedSource{{Name: "smoke-alarm", Source: paperapps.SmokeAlarm}}}}
+	want := []struct {
+		id, idem, trace string
+		batch           bool
+		status          api.Status
+		items           []core.BatchItem
+		opts            core.Options
+	}{
+		{"00000000000000a1", "idem-a1", "trace-a1", false, api.StatusQueued, smoke, core.DefaultOptions()},
+		{"00000000000000b2", "", "trace-b2", true, api.StatusQueued, []core.BatchItem{
+			{Key: "leak", Sources: []core.NamedSource{{Name: "leak", Source: paperapps.WaterLeakDetector}}},
+			{Key: "union", Sources: []core.NamedSource{
+				{Name: "smoke-alarm", Source: paperapps.SmokeAlarm},
+				{Name: "leak", Source: paperapps.WaterLeakDetector},
+			}},
+		}, core.Options{
+			AppSpecific: true, Taint: true, PropertyIDs: []string{"P.10", "T.*"}, Parallel: 3,
+			Limits: guard.Limits{Timeout: 1500 * time.Millisecond, MaxStates: 5000, MaxBDDNodes: 7000, MaxSATConflicts: 900, MaxFormulaDepth: 40},
+		}},
+		{"00000000000000c3", "", "trace-c3", false, api.StatusDone, smoke, core.DefaultOptions()},
+	}
+	if len(out.jobs) != len(want) {
+		t.Fatalf("replayed %d jobs, want %d", len(out.jobs), len(want))
+	}
+	for i, w := range want {
+		j := out.jobs[i]
+		if j.id != w.id || j.idemKey != w.idem || j.trace != w.trace || j.batch != w.batch || j.status != w.status {
+			t.Errorf("job %d: got id=%s idem=%q trace=%q batch=%v status=%s", i, j.id, j.idemKey, j.trace, j.batch, j.status)
+		}
+		if !reflect.DeepEqual(j.items, w.items) {
+			t.Errorf("job %s: items differ", w.id)
+		}
+		if !reflect.DeepEqual(j.opts, w.opts) {
+			t.Errorf("job %s: options\n got %+v\nwant %+v", w.id, j.opts, w.opts)
+		}
+	}
+	if len(out.requeue) != 2 || out.requeue[0].id != want[0].id || out.requeue[1].id != want[1].id {
+		t.Errorf("requeue = %v, want the two unfinished jobs", out.requeue)
+	}
+	if out.idem["idem-a1"] != out.jobs[0] {
+		t.Error("idempotency key idem-a1 not bound to its job")
+	}
+	done := out.jobs[2]
+	if len(done.results) != 1 || done.results[0].StoreKey != "cc" || !done.results[0].Cached || done.elapsed != 7*time.Millisecond {
+		t.Errorf("terminal job results: %+v elapsed %v", done.results, done.elapsed)
+	}
+
+	lines := bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n"))
+	for i, j := range out.jobs {
+		var onDisk struct {
+			Items json.RawMessage `json:"items"`
+		}
+		if err := json.Unmarshal(lines[i][9:], &onDisk); err != nil {
+			t.Fatal(err)
+		}
+		again, err := json.Marshal(acceptedEvent(j).Items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, onDisk.Items) {
+			t.Errorf("job %s: items re-encode differently from the parent's bytes", j.id)
 		}
 	}
 }

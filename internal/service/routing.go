@@ -9,18 +9,12 @@ import (
 	"sync"
 	"time"
 
-	"github.com/soteria-analysis/soteria/internal/client"
+	"github.com/soteria-analysis/soteria/internal/api"
 	"github.com/soteria-analysis/soteria/internal/cluster"
 	"github.com/soteria-analysis/soteria/internal/core"
 	"github.com/soteria-analysis/soteria/internal/report"
 	"github.com/soteria-analysis/soteria/internal/store"
 )
-
-// ForwardedHeader marks a request that already crossed one routing hop
-// (mirrors client.ForwardedHeader). A request carrying it is served
-// locally whatever the ring says: if two nodes ever disagreed about a
-// key's owner, the disagreement costs one extra hop, never a loop.
-const ForwardedHeader = "X-Soteria-Forwarded"
 
 // maybeRoute applies cluster routing to a parsed job. It returns true
 // when it fully handled the response (forwarded and/or federated);
@@ -66,17 +60,17 @@ func (s *Server) routeSingle(w http.ResponseWriter, r *http.Request, j *job, own
 		return false
 	}
 	s.routeForwards.Add(1)
-	status := statusDone
-	if jr.Status == string(statusFailed) {
-		status = statusFailed
+	status := api.StatusDone
+	if jr.Status == api.StatusFailed {
+		status = api.StatusFailed
 	}
-	res := itemResult{
+	res := api.BatchItem{
 		Key: j.items[0].Key, StoreKey: jr.Key, Cached: jr.Cached,
-		Record: jr.Result, Err: jr.Error, Node: owner,
+		Result: jr.Result, Error: jr.Error, Node: owner,
 	}
-	s.finishRouted(j, status, []itemResult{res}, time.Duration(jr.ElapsedMS)*time.Millisecond)
+	s.finishRouted(j, status, []api.BatchItem{res}, time.Duration(jr.ElapsedMS)*time.Millisecond)
 	code := http.StatusOK
-	if status == statusFailed {
+	if status == api.StatusFailed {
 		code = http.StatusUnprocessableEntity
 	}
 	respondJob(w, code, j)
@@ -98,7 +92,7 @@ func (s *Server) routeBatch(w http.ResponseWriter, r *http.Request, j *job, owne
 
 	// results is written at disjoint indices by the group goroutines;
 	// localIdx collects the groups that must run here.
-	results := make([]itemResult, len(j.items))
+	results := make([]api.BatchItem, len(j.items))
 	var mu sync.Mutex
 	localIdx := append([]int{}, groups[cl.Self()]...)
 	var wg sync.WaitGroup
@@ -111,7 +105,7 @@ func (s *Server) routeBatch(w http.ResponseWriter, r *http.Request, j *job, owne
 			defer wg.Done()
 			body, err := s.subBatchBody(j, owner, idx)
 			if err == nil {
-				var jr *client.Job
+				var jr *api.Job
 				if jr, err = cl.Forward(r.Context(), owner, "/v1/batch", body, j.trace); err == nil {
 					s.routeForwards.Add(1)
 					adoptBatchResults(j, owner, idx, jr, results)
@@ -132,7 +126,7 @@ func (s *Server) routeBatch(w http.ResponseWriter, r *http.Request, j *job, owne
 		sort.Ints(localIdx)
 		s.runLocalSub(j, localIdx, results)
 	}
-	s.finishRouted(j, statusDone, results, time.Since(start))
+	s.finishRouted(j, api.StatusDone, results, time.Since(start))
 	respondJob(w, http.StatusOK, j)
 	return true
 }
@@ -143,7 +137,7 @@ func (s *Server) routeBatch(w http.ResponseWriter, r *http.Request, j *job, owne
 // idempotency key is derived per owner so a client retry dedupes each
 // sub-batch against its own first run.
 func (s *Server) subBatchBody(j *job, owner string, idx []int) ([]byte, error) {
-	req := batchRequest{Options: j.breq.Options, Timings: j.breq.Timings}
+	req := api.BatchRequest{Options: j.breq.Options, Timings: j.breq.Timings}
 	for _, i := range idx {
 		it := j.breq.Items[i]
 		it.Key = j.items[i].Key
@@ -169,21 +163,19 @@ func derivedIdemKey(key, owner string) string {
 
 // adoptBatchResults maps one owner's sub-batch response back onto the
 // parent batch's item slots.
-func adoptBatchResults(j *job, owner string, idx []int, jr *client.Job, results []itemResult) {
-	byKey := make(map[string]client.BatchItem, len(jr.Results))
+func adoptBatchResults(j *job, owner string, idx []int, jr *api.Job, results []api.BatchItem) {
+	byKey := make(map[string]api.BatchItem, len(jr.Results))
 	for _, it := range jr.Results {
 		byKey[it.Key] = it
 	}
 	for _, i := range idx {
 		it, ok := byKey[j.items[i].Key]
 		if !ok {
-			results[i] = itemResult{Key: j.items[i].Key, Node: owner, Err: "owner returned no result for item"}
+			results[i] = api.BatchItem{Key: j.items[i].Key, Node: owner, Error: "owner returned no result for item"}
 			continue
 		}
-		results[i] = itemResult{
-			Key: it.Key, StoreKey: it.Store, Cached: it.Cached,
-			Record: it.Result, Err: it.Error, Node: owner,
-		}
+		it.Node = owner
+		results[i] = it
 	}
 }
 
@@ -191,7 +183,7 @@ func adoptBatchResults(j *job, owner string, idx []int, jr *client.Job, results 
 // normal path — store fast path, journal, queue — writing the outcomes
 // into the parent's result slots. Failures degrade to per-item errors:
 // a federated batch answers for every item, well or badly.
-func (s *Server) runLocalSub(j *job, idx []int, results []itemResult) {
+func (s *Server) runLocalSub(j *job, idx []int, results []api.BatchItem) {
 	self := s.cfg.Cluster.Self()
 	sub := &job{
 		id:    newJobID(),
@@ -205,7 +197,7 @@ func (s *Server) runLocalSub(j *job, idx []int, results []itemResult) {
 	}
 	fail := func(msg string) {
 		for _, i := range idx {
-			results[i] = itemResult{Key: j.items[i].Key, Node: self, Err: msg}
+			results[i] = api.BatchItem{Key: j.items[i].Key, Node: self, Error: msg}
 		}
 	}
 	if !s.finishFromStore(sub) {
@@ -236,8 +228,8 @@ func (s *Server) runLocalSub(j *job, idx []int, results []itemResult) {
 // job is registered for /v1/jobs but not journaled: each owner
 // journals the work it ran, and replaying a pure routing decision
 // would re-forward work the owners already hold in their stores.
-func (s *Server) finishRouted(j *job, status jobStatus, results []itemResult, elapsed time.Duration) {
-	if status == statusFailed {
+func (s *Server) finishRouted(j *job, status api.Status, results []api.BatchItem, elapsed time.Duration) {
+	if status == api.StatusFailed {
 		s.jobsFailed.Add(1)
 	} else {
 		s.jobsDone.Add(1)
@@ -264,15 +256,14 @@ func (s *Server) finishRouted(j *job, status jobStatus, results []itemResult, el
 // harness reads one schema whatever the fleet size.
 type clusterStatusResponse struct {
 	cluster.Status
-	QueueDepth int64 `json:"queue_depth"`
-	Inflight   int64 `json:"inflight"`
+	api.ClusterLoad
 }
 
 func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
-	resp := clusterStatusResponse{
+	resp := clusterStatusResponse{ClusterLoad: api.ClusterLoad{
 		QueueDepth: s.queueDepth.Value(),
 		Inflight:   s.inflight.Value(),
-	}
+	}}
 	if cl := s.cfg.Cluster; cl != nil {
 		resp.Status = cl.Status()
 	} else {

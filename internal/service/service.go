@@ -37,6 +37,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/soteria-analysis/soteria/internal/api"
 	"github.com/soteria-analysis/soteria/internal/cluster"
 	"github.com/soteria-analysis/soteria/internal/core"
 	"github.com/soteria-analysis/soteria/internal/fsio"
@@ -132,26 +133,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// jobStatus is a job's lifecycle state.
-type jobStatus string
-
-const (
-	statusQueued  jobStatus = "queued"
-	statusRunning jobStatus = "running"
-	statusDone    jobStatus = "done"
-	statusFailed  jobStatus = "failed"
-)
-
-// itemResult is one item's outcome inside a job.
-type itemResult struct {
-	Key      string         // caller's item key ("" for single analyses)
-	StoreKey string         // content address of the result
-	Cached   bool           // served from cache without re-analysis
-	Record   *report.Record // nil when Err != ""
-	Err      string
-	Node     string // fleet member that produced the result ("" = this node, pre-cluster)
-}
-
 // job is one queued unit of work: a single analysis or a batch.
 type job struct {
 	id      string
@@ -175,28 +156,28 @@ type job struct {
 	raw []byte
 	// breq is the decoded batch request, kept for splitting a batch
 	// into per-owner sub-batches (nil for single analyses).
-	breq *batchRequest
+	breq *api.BatchRequest
 	// queuedAt feeds the queue-wait histogram (zero = not queued).
 	queuedAt time.Time
 
 	done chan struct{} // closed on completion
 
 	mu      sync.Mutex
-	status  jobStatus
-	results []itemResult
+	status  api.Status
+	results []api.BatchItem
 	elapsed time.Duration
 	// span is the job's completed trace tree (nil until terminal).
 	span *obs.Span
 }
 
-func (j *job) setStatus(s jobStatus) {
+func (j *job) setStatus(s api.Status) {
 	j.mu.Lock()
 	j.status = s
 	j.mu.Unlock()
 }
 
 // snapshot returns the job's current state under its lock.
-func (j *job) snapshot() (jobStatus, []itemResult, time.Duration) {
+func (j *job) snapshot() (api.Status, []api.BatchItem, time.Duration) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.status, j.results, j.elapsed
@@ -349,7 +330,7 @@ func New(cfg Config) (*Server, error) {
 
 	s.queue = make(chan *job, queueCap)
 	for _, j := range requeue {
-		j.setStatus(statusQueued)
+		j.setStatus(api.StatusQueued)
 		j.queuedAt = time.Now()
 		s.queue <- j
 		s.queueDepth.Inc()
@@ -424,19 +405,19 @@ func replayEvents(events []journalEvent, st store.Backend) replayOutcome {
 					out.idem[ev.Idem] = j
 				}
 			}
-			if j.status == statusDone || j.status == statusFailed {
+			if j.status.Terminal() {
 				continue // duplicate terminal entry
 			}
-			j.status = statusDone
+			j.status = api.StatusDone
 			if ev.Op == opFailed {
-				j.status = statusFailed
+				j.status = api.StatusFailed
 			}
 			j.elapsed = time.Duration(ev.ElapsedMS) * time.Millisecond
 			for _, r := range ev.Results {
-				ir := itemResult{Key: r.Key, StoreKey: r.StoreKey, Cached: r.Cached, Err: r.Err}
+				ir := api.BatchItem{Key: r.Key, StoreKey: r.StoreKey, Cached: r.Cached, Error: r.Err}
 				if r.Err == "" && r.StoreKey != "" && st != nil {
 					if rec, ok := st.Get(r.StoreKey); ok {
-						ir.Record = rec
+						ir.Result = rec
 					}
 				}
 				j.results = append(j.results, ir)
@@ -450,7 +431,7 @@ func replayEvents(events []journalEvent, st store.Backend) replayOutcome {
 			continue
 		}
 		kept = append(kept, j)
-		if j.status == statusQueued && len(j.items) > 0 {
+		if j.status == api.StatusQueued && len(j.items) > 0 {
 			out.requeue = append(out.requeue, j)
 		}
 	}
@@ -466,7 +447,7 @@ func compactEvents(out replayOutcome) []journalEvent {
 	var evs []journalEvent
 	for _, j := range out.jobs {
 		switch j.status {
-		case statusDone, statusFailed:
+		case api.StatusDone, api.StatusFailed:
 			evs = append(evs,
 				journalEvent{Op: opAccepted, Job: j.id, Idem: j.idemKey, Batch: j.batch, Trace: j.trace},
 				terminalEvent(j, j.status, j.results, j.elapsed))
@@ -478,9 +459,9 @@ func compactEvents(out replayOutcome) []journalEvent {
 }
 
 // terminalEvent renders a job's completion for the journal.
-func terminalEvent(j *job, status jobStatus, results []itemResult, elapsed time.Duration) journalEvent {
+func terminalEvent(j *job, status api.Status, results []api.BatchItem, elapsed time.Duration) journalEvent {
 	op := opDone
-	if status == statusFailed {
+	if status == api.StatusFailed {
 		op = opFailed
 	}
 	ev := journalEvent{
@@ -489,7 +470,7 @@ func terminalEvent(j *job, status jobStatus, results []itemResult, elapsed time.
 	}
 	for _, r := range results {
 		ev.Results = append(ev.Results, journalResult{
-			Key: r.Key, StoreKey: r.StoreKey, Cached: r.Cached, Err: r.Err,
+			Key: r.Key, StoreKey: r.StoreKey, Cached: r.Cached, Err: r.Error,
 		})
 	}
 	return ev
@@ -595,17 +576,16 @@ func (s *Server) worker() {
 		if !j.queuedAt.IsZero() {
 			s.queueWait.Observe(time.Since(j.queuedAt))
 		}
-		s.inflight.Inc()
 		s.runJob(j)
-		s.inflight.Dec()
 	}
 }
 
 // runJob executes a job under its deadline. The pipeline's own
 // recovery boundaries contain panics and budget exhaustion per item;
-// anything that still escapes is a per-item Err, never a dead worker.
+// anything that still escapes is a per-item Error, never a dead worker.
 func (s *Server) runJob(j *job) {
-	j.setStatus(statusRunning)
+	s.inflight.Inc()
+	j.setStatus(api.StatusRunning)
 	if hook := testHookJobRunning.Load(); hook != nil {
 		(*hook)(j)
 	}
@@ -625,30 +605,30 @@ func (s *Server) runJob(j *job) {
 	}
 	results := core.AnalyzeBatch(ctx, bo, j.items...)
 
-	out := make([]itemResult, len(results))
+	out := make([]api.BatchItem, len(results))
 	failed := false
 	for i, r := range results {
-		out[i] = itemResult{
+		out[i] = api.BatchItem{
 			Key:      j.items[i].Key,
 			StoreKey: core.AnalysisKey(j.items[i].Sources, j.opts),
 			Cached:   r.Cached,
 		}
 		if r.Err != nil {
-			out[i].Err = r.Err.Error()
+			out[i].Error = r.Err.Error()
 			failed = true
 			continue
 		}
-		out[i].Record = report.FromAnalysis(r.Analysis)
+		out[i].Result = report.FromAnalysis(r.Analysis)
 	}
 
-	status := statusDone
+	status := api.StatusDone
 	if failed && !j.batch {
 		// A batch with some failing items is still "done" (per-item
 		// errors are in the results); a single analysis that failed is
 		// a failed job.
-		status = statusFailed
+		status = api.StatusFailed
 	}
-	if status == statusFailed {
+	if status == api.StatusFailed {
 		s.jobsFailed.Add(1)
 	} else {
 		s.jobsDone.Add(1)
@@ -663,6 +643,9 @@ func (s *Server) runJob(j *job) {
 	j.elapsed = elapsed
 	j.span = root
 	j.mu.Unlock()
+	// The job leaves the inflight gauge before its waiter is released,
+	// so a client that saw the result never reads it as still running.
+	s.inflight.Dec()
 	close(j.done)
 	s.recordTelemetry(root)
 	// The terminal entry is appended after the results landed in the

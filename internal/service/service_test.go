@@ -8,10 +8,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/soteria-analysis/soteria/internal/api"
+	"github.com/soteria-analysis/soteria/internal/client"
+	"github.com/soteria-analysis/soteria/internal/core"
+	"github.com/soteria-analysis/soteria/internal/guard"
 	"github.com/soteria-analysis/soteria/internal/guard/faultinject"
 	"github.com/soteria-analysis/soteria/internal/paperapps"
 	"github.com/soteria-analysis/soteria/internal/store"
@@ -323,5 +328,60 @@ func TestResultsEndpointRejectsBadHashes(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("GET /v1/results/%s: %d, want 404", hash, resp.StatusCode)
 		}
+	}
+}
+
+// TestOptionsClientToServer sends a fully populated api.Options through
+// the Go client and decodes the body the daemon receives with its
+// strict decoder: every option must arrive and resolve to the expected
+// core.Options, server limits included.
+func TestOptionsClientToServer(t *testing.T) {
+	no, yes := false, true
+	opts := api.Options{
+		General: &no, AppSpecific: &yes, Taint: &no,
+		Properties: []string{"P.10", "T.2"},
+		TimeoutMS:  1500, MaxStates: 4000, Parallel: 3,
+	}
+	v := reflect.ValueOf(opts)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("api.Options.%s is not populated; set it here", v.Type().Field(i).Name)
+		}
+	}
+	s, err := New(Config{Workers: 1, Limits: guard.Limits{MaxStates: 9000, MaxBDDNodes: 7000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
+	var got *job
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		data, _ := io.ReadAll(r.Body)
+		j, herr := s.parseAnalyze(data)
+		if herr != nil {
+			t.Errorf("strict decode rejected the client's body: %v\n%s", herr, data)
+			http.Error(w, herr.msg, herr.code)
+			return
+		}
+		got = j
+		fmt.Fprint(w, `{"job_id":"0123456789abcdef","status":"done"}`)
+	}))
+	defer ts.Close()
+	c, err := client.New(client.Config{BaseURL: ts.URL, MaxAttempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := api.AnalyzeRequest{Apps: []api.App{{Name: "smoke", Source: paperapps.SmokeAlarm}}, Options: opts}
+	if _, err := c.Analyze(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	want := core.Options{
+		AppSpecific: true, PropertyIDs: []string{"P.10", "T.2"}, Parallel: 3,
+		Limits: guard.Limits{Timeout: 1500 * time.Millisecond, MaxStates: 4000, MaxBDDNodes: 7000},
+	}
+	if got == nil {
+		t.Fatal("the server decoded no request")
+	}
+	if !reflect.DeepEqual(got.opts, want) {
+		t.Fatalf("decoded options:\n got %+v\nwant %+v", got.opts, want)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/soteria-analysis/soteria/internal/api"
 	"github.com/soteria-analysis/soteria/internal/paperapps"
 )
 
@@ -176,7 +177,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 		if !ok {
 			t.Fatalf("job %s lost during drain", id)
 		}
-		if st, results, _ := j.snapshot(); st != statusDone || len(results) != 1 || results[0].Record == nil {
+		if st, results, _ := j.snapshot(); st != api.StatusDone || len(results) != 1 || results[0].Result == nil {
 			t.Fatalf("job %s after drain: status %s, results %v", id, st, results)
 		}
 	}
@@ -209,7 +210,7 @@ func TestShutdownDeadlineCancelsBudgets(t *testing.T) {
 			return false
 		}
 		st, _, _ := j.snapshot()
-		return st == statusRunning
+		return st == api.StatusRunning
 	})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)

@@ -12,6 +12,7 @@ import (
 
 	"sync"
 
+	"github.com/soteria-analysis/soteria/internal/api"
 	"github.com/soteria-analysis/soteria/internal/obs"
 	"github.com/soteria-analysis/soteria/internal/paperapps"
 )
@@ -152,7 +153,7 @@ func TestTimingsEmbeddedInRecord(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("analyze: %d (%v)", resp.StatusCode, body)
 	}
-	trace := resp.Header.Get(TraceHeader)
+	trace := resp.Header.Get(api.TraceHeader)
 	if !obs.ValidTraceID(trace) {
 		t.Fatalf("response trace header %q is not a valid trace ID", trace)
 	}
@@ -218,7 +219,7 @@ func TestTraceInLogLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(TraceHeader, trace)
+	req.Header.Set(api.TraceHeader, trace)
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -226,7 +227,7 @@ func TestTraceInLogLines(t *testing.T) {
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if got := resp.Header.Get(TraceHeader); got != trace {
+	if got := resp.Header.Get(api.TraceHeader); got != trace {
 		t.Fatalf("server did not adopt client trace: got %q, want %q", got, trace)
 	}
 
@@ -251,7 +252,7 @@ func TestTraceInLogLines(t *testing.T) {
 	// echoed back.
 	req2, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/analyze",
 		strings.NewReader(`{"name":"x","source":"definition(name: \"x\")"}`))
-	req2.Header.Set(TraceHeader, "bad id with spaces")
+	req2.Header.Set(api.TraceHeader, "bad id with spaces")
 	req2.Header.Set("Content-Type", "application/json")
 	resp2, err := http.DefaultClient.Do(req2)
 	if err != nil {
@@ -259,7 +260,7 @@ func TestTraceInLogLines(t *testing.T) {
 	}
 	io.Copy(io.Discard, resp2.Body)
 	resp2.Body.Close()
-	if got := resp2.Header.Get(TraceHeader); !obs.ValidTraceID(got) || got == trace {
+	if got := resp2.Header.Get(api.TraceHeader); !obs.ValidTraceID(got) || got == trace {
 		t.Fatalf("invalid client trace not replaced: got %q", got)
 	}
 }

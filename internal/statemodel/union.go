@@ -1,10 +1,6 @@
 package statemodel
 
-import (
-	"fmt"
-
-	"github.com/soteria-analysis/soteria/internal/pathcond"
-)
+import "fmt"
 
 // Union implements Algorithm 2: the union of several apps' state
 // models. The union model's states are the Cartesian product over the
@@ -185,8 +181,3 @@ func sortInts(xs []int) {
 		}
 	}
 }
-
-// ResidualGuardFeasible reports whether a transition's residual guard
-// is satisfiable (always true for well-formed models, present as a
-// safety net for property checkers).
-func ResidualGuardFeasible(t Transition) bool { return pathcond.Feasible(t.Guard) }

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"os"
 
+	"github.com/soteria-analysis/soteria/internal/api"
 	"github.com/soteria-analysis/soteria/internal/paperapps"
 )
 
@@ -48,28 +49,21 @@ func main() {
 		return
 	}
 
-	body := map[string]any{}
+	var body any
 	if *batch > 0 {
-		items := make([]map[string]any, *batch)
-		for i := range items {
-			items[i] = map[string]any{
-				"key":  fmt.Sprintf("item-%d", i),
-				"apps": []map[string]string{{"name": fmt.Sprintf("smoke-alarm-%d", i), "source": variantSource(*variant + i)}},
-			}
+		req := api.BatchRequest{Async: *async, IdempotencyKey: *idem, Timings: *timings}
+		for i := 0; i < *batch; i++ {
+			req.Items = append(req.Items, api.BatchRequestItem{
+				Key:  fmt.Sprintf("item-%d", i),
+				Apps: []api.App{{Name: fmt.Sprintf("smoke-alarm-%d", i), Source: variantSource(*variant + i)}},
+			})
 		}
-		body["items"] = items
+		body = req
 	} else {
-		body["name"] = "smoke-alarm"
-		body["source"] = variantSource(*variant)
-	}
-	if *async {
-		body["async"] = true
-	}
-	if *idem != "" {
-		body["idempotency_key"] = *idem
-	}
-	if *timings {
-		body["timings"] = true
+		body = api.AnalyzeRequest{
+			Name: "smoke-alarm", Source: variantSource(*variant),
+			Async: *async, IdempotencyKey: *idem, Timings: *timings,
+		}
 	}
 
 	data, err := json.Marshal(body)

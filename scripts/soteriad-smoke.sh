@@ -38,7 +38,7 @@ done
 curl -fsS "$base/healthz" >/dev/null
 
 first=$(curl -fsS -X POST --data-binary @"$workdir/req.json" "$base/v1/analyze")
-echo "$first" | grep -q '"schema":1' || { echo "no schema-1 record in: $first"; exit 1; }
+echo "$first" | grep -q '"schema":2' || { echo "no schema-2 record in: $first"; exit 1; }
 if echo "$first" | grep -q '"cached":true'; then
     echo "first request unexpectedly cached: $first"; exit 1
 fi
@@ -239,7 +239,7 @@ for a in "$fa" "$fb" "$fc"; do
 done
 
 via1=$(curl -fsS -X POST --data-binary @"$workdir/fleet.json" "http://$fa/v1/analyze")
-echo "$via1" | grep -q '"schema":1' || { echo "fleet analysis failed: $via1"; exit 1; }
+echo "$via1" | grep -q '"schema":2' || { echo "fleet analysis failed: $via1"; exit 1; }
 
 via2=$(curl -fsS -X POST --data-binary @"$workdir/fleet.json" "http://$fb/v1/analyze")
 echo "$via2" | grep -q '"cached":true' \
