@@ -84,16 +84,29 @@ func New(n int) *Structure {
 // the sound over-approximation the paper accepts).
 func FromModel(m *statemodel.Model) *Structure {
 	k := New(len(m.States))
+	// Propositions are rendered once per (variable, value) and per
+	// event, not per state or transition.
+	valueProps := make([][]string, len(m.Vars))
+	for vi, v := range m.Vars {
+		valueProps[vi] = make([]string, len(v.Values))
+		for i, val := range v.Values {
+			valueProps[vi][i] = v.Key + "=" + val
+		}
+	}
+	evProps := make(map[string]string, len(m.Events()))
+	for _, e := range m.Events() {
+		evProps[e] = "ev:" + e
+	}
 	for s := range m.States {
 		k.Names[s] = m.StateLabel(s)
-		for vi, v := range m.Vars {
-			k.Labels[s][v.Key+"="+v.Values[m.States[s].Idx[vi]]] = true
+		for vi, d := range m.States[s].Idx {
+			k.Labels[s][valueProps[vi][d]] = true
 		}
 	}
 	for _, t := range m.Transitions {
 		k.AddEdge(t.From, t.To, t.Label())
 		// Event marker on the target state.
-		k.Labels[t.To]["ev:"+t.Event.String()] = true
+		k.Labels[t.To][evProps[t.EventName()]] = true
 	}
 	// Total transition relation: deadlocked states self-loop.
 	for s := 0; s < k.N; s++ {

@@ -73,18 +73,17 @@ func modelHasCap(m *statemodel.Model, capName string) bool {
 // ---------------------------------------------------------------------------
 // Formula-building helpers
 
-// evProps returns the event-marker propositions present in the model's
-// transitions that match the given prefix (e.g.
+// evProps returns, sorted, the event-marker propositions present in
+// the model's transitions that match the given prefix (e.g.
 // "ev:presenceSensor.presence.").
 func evProps(m *statemodel.Model, prefix string) []string {
-	set := map[string]bool{}
-	for _, t := range m.Transitions {
-		p := "ev:" + t.Event.String()
-		if strings.HasPrefix(p, prefix) {
-			set[p] = true
+	var out []string
+	for _, e := range m.Events() {
+		if p := "ev:" + e; strings.HasPrefix(p, prefix) {
+			out = append(out, p)
 		}
 	}
-	return sortedMapKeys(set)
+	return out
 }
 
 func orProps(props []string) ctl.Formula {

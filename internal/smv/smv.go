@@ -30,8 +30,10 @@ func Emit(m *statemodel.Model, specs []ctl.Formula) string {
 	}
 	// The event marker variable records which event fired last.
 	events := map[string]bool{"none": true}
-	for _, t := range m.Transitions {
-		events[symbol("ev_"+t.Event.String())] = true
+	evSym := make(map[string]string, len(m.Events()))
+	for _, e := range m.Events() {
+		evSym[e] = symbol("ev_" + e)
+		events[evSym[e]] = true
 	}
 	evList := sortedSet(events)
 	fmt.Fprintf(&sb, "  _event : {%s};\n", strings.Join(evList, ", "))
@@ -48,7 +50,7 @@ func Emit(m *statemodel.Model, specs []ctl.Formula) string {
 			conj = append(conj, fmt.Sprintf("%s = %s", symbol(v.Key), from))
 			conj = append(conj, fmt.Sprintf("next(%s) = %s", symbol(v.Key), to))
 		}
-		conj = append(conj, fmt.Sprintf("next(_event) = %s", symbol("ev_"+t.Event.String())))
+		conj = append(conj, "next(_event) = "+evSym[t.EventName()])
 		if !t.Guard.IsTrue() {
 			conj = append(conj, "-- guard: "+strings.ReplaceAll(t.Guard.String(), "\n", " "))
 		}

@@ -1,7 +1,9 @@
 package statemodel
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -44,10 +46,9 @@ func BuildOpt(opt Options, apps ...*ir.App) (*Model, error) {
 // budget disables all checks.
 func BuildBudget(b *guard.Budget, opt Options, apps ...*ir.App) (*Model, error) {
 	m := &Model{
-		varIdx:  map[string]int{},
-		stateID: map[string]int{},
-		opt:     opt,
-		budget:  b,
+		varIdx: map[string]int{},
+		opt:    opt,
+		budget: b,
 	}
 	for _, app := range apps {
 		am := &AppModel{App: app, HandleCap: map[string]string{}}
@@ -256,6 +257,9 @@ func (m *Model) triggerKey(app *ir.App, sub ir.Subscription) string {
 // ---------------------------------------------------------------------------
 // State enumeration
 
+// enumerateStates materialises the full product of the variable
+// domains in mixed-radix order, so state s is the packed value of its
+// index vector.
 func (m *Model) enumerateStates() error {
 	total := 1
 	for _, v := range m.Vars {
@@ -267,45 +271,134 @@ func (m *Model) enumerateStates() error {
 	// Charge the whole product against the budget before materialising
 	// it, so a too-large model aborts in O(vars) rather than O(states).
 	m.budget.States(total, "statemodel.enumerate")
-	idx := make([]int, len(m.Vars))
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(m.Vars) {
-			m.budget.Tick("statemodel.enumerate")
-			m.internState(idx)
-			return
+	m.stride = strides(m.Vars)
+	n := len(m.Vars)
+	digits := make([]int, total*n)
+	m.States = make([]State, total)
+	for s := range m.States {
+		m.budget.Tick("statemodel.enumerate")
+		idx := digits[s*n : (s+1)*n : (s+1)*n]
+		for i, st := range m.stride {
+			idx[i] = s / st % len(m.Vars[i].Values)
 		}
-		for j := range m.Vars[i].Values {
-			idx[i] = j
-			rec(i + 1)
-		}
+		m.States[s] = State{Idx: idx}
 	}
-	rec(0)
 	return nil
 }
 
 // ---------------------------------------------------------------------------
 // Transition derivation
+//
+// Everything a (path, event) pair contributes that does not depend on
+// the source state is compiled once: each guard atom's outcome per
+// value of the variable it reads, and the packed-ID offsets of the
+// action targets. The per-state loop then reads digits of the state
+// and adds integers.
+
+// edgeKey identifies a transition for deduplication.
+type edgeKey struct {
+	from, to, app, label int32
+}
+
+// edgeSet collects a model's deduplicated transitions. They are
+// appended in chunks and concatenated once at the end, so each is
+// copied once instead of through every growth step of one large slice.
+type edgeSet struct {
+	seen map[edgeKey]struct{}
+	full [][]Transition
+	cur  []Transition
+	n    int
+}
+
+// add appends t unless an edge with the same endpoints, app and label
+// ID was added before, and reports whether it did.
+func (e *edgeSet) add(t Transition, label int32) bool {
+	k := edgeKey{from: int32(t.From), to: int32(t.To), app: int32(t.App), label: label}
+	if _, dup := e.seen[k]; dup {
+		return false
+	}
+	if e.seen == nil {
+		e.seen = map[edgeKey]struct{}{}
+	}
+	e.seen[k] = struct{}{}
+	if len(e.cur) == cap(e.cur) {
+		if e.cur != nil {
+			e.full = append(e.full, e.cur)
+		}
+		e.cur = make([]Transition, 0, min(max(2*cap(e.cur), 16), 4096))
+	}
+	e.cur = append(e.cur, t)
+	e.n++
+	return true
+}
+
+// transitions returns the added transitions in insertion order.
+func (e *edgeSet) transitions() []Transition {
+	if len(e.full) == 0 {
+		return e.cur
+	}
+	out := make([]Transition, 0, e.n)
+	for _, c := range e.full {
+		out = append(out, c...)
+	}
+	return append(out, e.cur...)
+}
+
+// outcome is a guard atom's resolution against one state.
+type outcome uint8
+
+const (
+	holds outcome = iota
+	fails
+	undecided // the atom joins the residual guard
+)
+
+// guardAtom is one guard atom of a compiled path, in guard order.
+type guardAtom struct {
+	vi   int           // variable the outcome depends on; -1 when fixed
+	out  []outcome     // outcome per value of vi; one entry when fixed
+	atom pathcond.Atom // residual atom when undecided
+}
+
+// variant is one residual guard of a program with its interned label.
+type variant struct {
+	guard   pathcond.Cond
+	label   string
+	labelID int32
+}
+
+// program is one symexec path compiled for one event.
+type program struct {
+	ev     Event
+	evName string
+	// trig is the trigger variable, set to trigVal by the event; -1 for
+	// app touch and timer events.
+	trig, trigVal int
+	guard         []guardAtom
+	opaque        []string
+	// written lists the variables the actions overwrite; targets holds,
+	// per target in action order, the packed value of their final
+	// digits.
+	written  []int
+	targets  []int
+	variants map[string]variant // by undecided-atom bitset
+	noted    bool               // evName is in m.events
+}
 
 func (m *Model) deriveTransitions() {
-	seen := map[edgeKey]bool{}
+	var edges edgeSet
 	for ai, am := range m.Apps {
 		for _, r := range am.Results {
 			trigKey := m.triggerKey(am.App, r.Entry.Sub)
 			for _, path := range r.Paths {
-				m.derivePathTransitions(ai, am, r.Entry, trigKey, path, seen)
+				m.derivePathTransitions(ai, am, r.Entry, trigKey, path, &edges)
 			}
 		}
 	}
+	m.Transitions = edges.transitions()
 }
 
-type edgeKey struct {
-	from, to int
-	label    string
-	app      int
-}
-
-func (m *Model) derivePathTransitions(ai int, am *AppModel, ep *ir.EntryPoint, trigKey string, path symexec.Path, seen map[edgeKey]bool) {
+func (m *Model) derivePathTransitions(ai int, am *AppModel, ep *ir.EntryPoint, trigKey string, path symexec.Path, edges *edgeSet) {
 	sub := ep.Sub
 	// Determine the event values this path can fire on.
 	var events []Event
@@ -323,11 +416,10 @@ func (m *Model) derivePathTransitions(ai int, am *AppModel, ep *ir.EntryPoint, t
 		}
 		events = []Event{{VarKey: "timer.time", Value: v, Kind: sub.Kind}}
 	default:
-		v, vi, ok := m.VarByKey(trigKey)
+		v, _, ok := m.VarByKey(trigKey)
 		if !ok {
 			return
 		}
-		_ = vi
 		for i, val := range v.Values {
 			if sub.Value != "" && val != sub.Value {
 				continue
@@ -339,12 +431,247 @@ func (m *Model) derivePathTransitions(ai int, am *AppModel, ep *ir.EntryPoint, t
 		}
 	}
 
+	var bits []byte
 	for _, ev := range events {
+		p, ok := m.compile(am.App, path, ev)
 		for s := range m.States {
 			m.budget.Tick("statemodel.transitions")
-			m.applyPath(ai, am, ep, path, ev, s, seen)
+			if !ok {
+				continue
+			}
+			bits = m.applyProgram(ai, p, s, edges, bits)
 		}
 	}
+}
+
+// compile resolves everything about path on event ev that does not
+// depend on the source state; ok=false when the path cannot fire on ev
+// from any state.
+func (m *Model) compile(app *ir.App, path symexec.Path, ev Event) (*program, bool) {
+	p := &program{ev: ev, evName: m.names.event(ev), trig: -1, variants: map[string]variant{}}
+	// Post-event state: the trigger variable takes the event value.
+	if ev.VarKey != "app.touch" && ev.VarKey != "timer.time" {
+		v, vi, ok := m.VarByKey(ev.VarKey)
+		if !ok {
+			return nil, false
+		}
+		evi, ok := v.ValueIndex(ev.Value)
+		if !ok {
+			return nil, false
+		}
+		p.trig, p.trigVal = vi, evi
+	}
+	if !m.opt.EventOnlyLabels {
+		p.opaque = path.Guard.Opaque
+		for _, atom := range path.Guard.Atoms {
+			g := m.compileAtom(app, atom, ev)
+			if g.vi >= 0 && g.vi == p.trig {
+				// The trigger variable's value is fixed by the event.
+				g.vi, g.out = -1, g.out[p.trigVal:p.trigVal+1]
+			}
+			if g.vi < 0 {
+				switch g.out[0] {
+				case holds:
+					continue
+				case fails:
+					return nil, false
+				}
+			}
+			p.guard = append(p.guard, g)
+		}
+	}
+	m.compileActions(p, path.Actions)
+	return p, true
+}
+
+// compileAtom resolves one guard atom: against the event for evt.value
+// atoms, per domain value for device attributes, and as a fixed
+// residual otherwise.
+func (m *Model) compileAtom(app *ir.App, atom pathcond.Atom, ev Event) guardAtom {
+	fixed := func(o outcome) guardAtom { return guardAtom{vi: -1, out: []outcome{o}, atom: atom} }
+	key, ok := canonicalAtomVar(app, atom.Var)
+	if !ok {
+		if atom.Var == "evt.value" {
+			// Resolve against the event value.
+			if ok, decided := m.decideEvtAtom(atom, ev); decided {
+				if ok {
+					return fixed(holds)
+				}
+				return fixed(fails)
+			}
+		}
+		return fixed(undecided)
+	}
+	v, vi, found := m.VarByKey(key)
+	if !found {
+		return fixed(undecided)
+	}
+	if !v.Numeric && (atom.IsNum || atom.IsSym() || atom.Op != pathcond.EQ && atom.Op != pathcond.NE) {
+		return fixed(undecided)
+	}
+	g := guardAtom{vi: vi, out: make([]outcome, len(v.Values)), atom: atom}
+	if v.Numeric {
+		g.atom.Var = key
+		for i, vc := range v.ValueConds {
+			switch {
+			case pathcond.Implies(vc, g.atom):
+				g.out[i] = holds
+			case pathcond.Implies(vc, g.atom.Negated()):
+				g.out[i] = fails
+			default:
+				g.out[i] = undecided
+			}
+		}
+		return g
+	}
+	for i, val := range v.Values {
+		if (val == atom.Str) != (atom.Op == pathcond.EQ) {
+			g.out[i] = fails
+		}
+	}
+	return g
+}
+
+// compileActions resolves the path's device actions to variable
+// writes and enumerates the target assignments in the order the
+// actions fork them (the first action's choice most significant;
+// later writes to a variable overwrite earlier ones).
+func (m *Model) compileActions(p *program, acts []symexec.Action) {
+	combos := [][]int{nil} // per target, final digit per written variable
+	for _, act := range acts {
+		vi, vals := m.actionTargets(act)
+		if len(vals) == 0 {
+			continue
+		}
+		w := slices.Index(p.written, vi)
+		if w < 0 {
+			w = len(p.written)
+			p.written = append(p.written, vi)
+		}
+		next := make([][]int, 0, len(combos)*len(vals))
+		for _, c := range combos {
+			for _, tv := range vals {
+				nc := make([]int, len(p.written))
+				copy(nc, c)
+				nc[w] = tv
+				next = append(next, nc)
+			}
+		}
+		combos = next
+	}
+	p.targets = make([]int, len(combos))
+	for i, c := range combos {
+		for w, d := range c {
+			p.targets[i] += d * m.stride[p.written[w]]
+		}
+	}
+}
+
+// actionTargets returns the variable an action writes and the domain
+// values it can leave there; no values when the action does not touch
+// the model.
+func (m *Model) actionTargets(act symexec.Action) (int, []int) {
+	key := varKeyFor(act.Cap, act.Attr)
+	v, vi, ok := m.VarByKey(key)
+	if !ok {
+		return -1, nil
+	}
+	var targets []int
+	if v.Numeric {
+		eq := pathcond.Atom{Var: key, Op: pathcond.EQ}
+		if n, err := strconv.ParseFloat(act.Value, 64); err == nil {
+			eq.IsNum = true
+			eq.Num = n
+		} else {
+			eq.RHSVar = act.Value
+		}
+		for i, vc := range v.ValueConds {
+			if pathcond.Feasible(vc.WithAtom(eq)) {
+				targets = append(targets, i)
+			}
+		}
+	} else if i, found := v.ValueIndex(act.Value); found {
+		targets = []int{i}
+	} else if act.Symbolic {
+		// Unknown written value: fork to every domain value.
+		for i := range v.Values {
+			targets = append(targets, i)
+		}
+	}
+	return vi, targets
+}
+
+// applyProgram derives the transitions of a compiled program from
+// state s. bits is scratch space for the undecided-atom bitset and is
+// returned for reuse.
+func (m *Model) applyProgram(ai int, p *program, s int, edges *edgeSet, bits []byte) []byte {
+	digits := m.States[s].Idx
+	digit := func(vi int) int {
+		if vi == p.trig {
+			return p.trigVal
+		}
+		return digits[vi]
+	}
+	bits = bits[:0]
+	for i := range p.guard {
+		g := &p.guard[i]
+		o := g.out[0]
+		if g.vi >= 0 {
+			o = g.out[digits[g.vi]]
+		}
+		if i%8 == 0 {
+			bits = append(bits, 0)
+		}
+		switch o {
+		case fails:
+			return bits
+		case undecided:
+			bits[i/8] |= 1 << (i % 8)
+		}
+	}
+	v, ok := p.variants[string(bits)]
+	if !ok {
+		v = m.newVariant(p, bits)
+	}
+	// Successors: the post-event state with the written variables
+	// replaced by each target's digits.
+	base := s
+	if p.trig >= 0 {
+		base += (p.trigVal - digits[p.trig]) * m.stride[p.trig]
+	}
+	for _, vi := range p.written {
+		base -= digit(vi) * m.stride[vi]
+	}
+	for _, off := range p.targets {
+		t := Transition{
+			From: s, To: base + off, Event: p.ev, Guard: v.guard, App: ai,
+			label: v.label, event: p.evName,
+		}
+		if edges.add(t, v.labelID) && !p.noted {
+			p.noted = true
+			m.noteEvent(p.evName)
+		}
+	}
+	return bits
+}
+
+// newVariant builds and records the residual guard of program p for an
+// undecided-atom bitset.
+func (m *Model) newVariant(p *program, bits []byte) variant {
+	g := pathcond.Cond{Opaque: p.opaque}
+	for i, ga := range p.guard {
+		if bits[i/8]&(1<<(i%8)) != 0 {
+			g.Atoms = append(g.Atoms, ga.atom)
+		}
+	}
+	// Full slice expression: transitions share the guard, so an
+	// append by a consumer must copy.
+	g.Atoms = g.Atoms[:len(g.Atoms):len(g.Atoms)]
+	var v variant
+	v.guard = g
+	v.label, v.labelID = m.names.label(transitionLabel(p.evName, g))
+	p.variants[string(bits)] = v
+	return v
 }
 
 // eventConsistent checks the path's evt.value atoms against a
@@ -378,114 +705,6 @@ func (m *Model) eventConsistent(v *Var, valIdx int, guard pathcond.Cond) bool {
 	return true
 }
 
-// applyPath derives the transition(s) of one path from state s on
-// event ev.
-func (m *Model) applyPath(ai int, am *AppModel, ep *ir.EntryPoint, path symexec.Path, ev Event, s int, seen map[edgeKey]bool) {
-	// Post-event state: the trigger variable takes the event value.
-	idx := make([]int, len(m.Vars))
-	copy(idx, m.States[s].Idx)
-	if ev.VarKey != "app.touch" && ev.VarKey != "timer.time" {
-		v, vi, ok := m.VarByKey(ev.VarKey)
-		if !ok {
-			return
-		}
-		evi, ok := v.ValueIndex(ev.Value)
-		if !ok {
-			return
-		}
-		idx[vi] = evi
-	}
-
-	residual, ok := pathcond.True(), true
-	if !m.opt.EventOnlyLabels {
-		residual, ok = m.resolveGuard(am.App, path.Guard, ev, idx)
-	}
-	if !ok {
-		return
-	}
-
-	// Apply actions in order; unknown writes fork.
-	states := [][]int{idx}
-	for _, act := range path.Actions {
-		states = m.applyAction(states, act)
-	}
-	for _, target := range states {
-		to := m.internState(target)
-		t := Transition{
-			From: s, To: to, Event: ev, Guard: residual,
-			App: ai, Handler: ep.Sub.Handler, ActionsSig: path.ActionsSignature(),
-		}
-		k := edgeKey{from: s, to: to, label: t.Label(), app: ai}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		m.Transitions = append(m.Transitions, t)
-	}
-}
-
-// resolveGuard evaluates the path guard against the post-event state,
-// returning the residual condition (atoms it cannot decide) and
-// whether the guard is satisfiable in this state.
-func (m *Model) resolveGuard(app *ir.App, guard pathcond.Cond, ev Event, idx []int) (pathcond.Cond, bool) {
-	residual := pathcond.Cond{Opaque: guard.Opaque}
-	for _, atom := range guard.Atoms {
-		key, ok := canonicalAtomVar(app, atom.Var)
-		if !ok {
-			if atom.Var == "evt.value" {
-				// Resolve against the event value.
-				dec, decided := m.decideEvtAtom(atom, ev)
-				if decided {
-					if !dec {
-						return residual, false
-					}
-					continue
-				}
-				residual = residual.WithAtom(atom)
-				continue
-			}
-			residual = residual.WithAtom(atom)
-			continue
-		}
-		v, vi, found := m.VarByKey(key)
-		if !found {
-			residual = residual.WithAtom(atom)
-			continue
-		}
-		if v.Numeric {
-			na := atom
-			na.Var = key
-			vc := v.ValueConds[idx[vi]]
-			if pathcond.Implies(vc, na) {
-				continue
-			}
-			if pathcond.Implies(vc, na.Negated()) {
-				return residual, false
-			}
-			residual = residual.WithAtom(na)
-			continue
-		}
-		val := v.Values[idx[vi]]
-		if atom.IsNum || atom.IsSym() {
-			residual = residual.WithAtom(atom)
-			continue
-		}
-		switch atom.Op {
-		case pathcond.EQ:
-			if val != atom.Str {
-				return residual, false
-			}
-		case pathcond.NE:
-			if val == atom.Str {
-				return residual, false
-			}
-		default:
-			residual = residual.WithAtom(atom)
-		}
-	}
-	return residual, true
-}
-
 // decideEvtAtom decides an evt.value atom against a concrete event.
 func (m *Model) decideEvtAtom(atom pathcond.Atom, ev Event) (holds, decided bool) {
 	if atom.IsNum || atom.IsSym() {
@@ -516,87 +735,84 @@ func (m *Model) decideEvtAtom(atom pathcond.Atom, ev Event) (holds, decided bool
 	return false, false
 }
 
-// applyAction applies one device action to each candidate state
-// vector, possibly forking on unknown writes.
-func (m *Model) applyAction(states [][]int, act symexec.Action) [][]int {
-	key := varKeyFor(act.Cap, act.Attr)
-	v, vi, ok := m.VarByKey(key)
-	if !ok {
-		return states
-	}
-	var targets []int
-	if v.Numeric {
-		eq := pathcond.Atom{Var: key, Op: pathcond.EQ}
-		if n, err := strconv.ParseFloat(act.Value, 64); err == nil {
-			eq.IsNum = true
-			eq.Num = n
-		} else {
-			eq.RHSVar = act.Value
-		}
-		for i, vc := range v.ValueConds {
-			if pathcond.Feasible(vc.WithAtom(eq)) {
-				targets = append(targets, i)
-			}
-		}
-	} else {
-		if i, found := v.ValueIndex(act.Value); found {
-			targets = []int{i}
-		} else if act.Symbolic {
-			// Unknown written value: fork to every domain value.
-			for i := range v.Values {
-				targets = append(targets, i)
-			}
-		}
-	}
-	if len(targets) == 0 {
-		return states
-	}
-	var out [][]int
-	for _, st := range states {
-		for _, tv := range targets {
-			ns := make([]int, len(st))
-			copy(ns, st)
-			ns[vi] = tv
-			out = append(out, ns)
-		}
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Nondeterminism
 
 // detectNondeterminism flags states with two feasible same-event
 // transitions to different successors (§4.2: "SOTERIA reports
 // nondeterministic state models as a safety violation").
+//
+// Transitions are grouped by (source state, event name). Groups are
+// visited in the order of the string keys "<from>|<event>": source
+// states by their decimal rendering (state 10 before state 2), then
+// event names bytewise. The 64-report cap makes that order observable.
 func (m *Model) detectNondeterminism() {
-	group := map[string][]int{}
-	for i, t := range m.Transitions {
-		k := fmt.Sprintf("%d|%s", t.From, t.Event.String())
-		group[k] = append(group[k], i)
+	n := len(m.States)
+	start := make([]int, n+1)
+	for _, t := range m.Transitions {
+		start[t.From+1]++
 	}
-	const maxReports = 64
-	for _, k := range sortedKeys(group) {
-		ts := group[k]
-		for i := 0; i < len(ts) && len(m.Nondet) < maxReports; i++ {
-			m.budget.Tick("statemodel.nondet")
-			for j := i + 1; j < len(ts); j++ {
-				a, b := m.Transitions[ts[i]], m.Transitions[ts[j]]
-				if a.To == b.To {
-					continue
-				}
-				if pathcond.Feasible(a.Guard.And(b.Guard)) {
-					m.Nondet = append(m.Nondet, NondetReport{
-						State: a.From, Event: a.Event,
-						ToA: a.To, ToB: b.To,
-						GuardA: a.Guard, GuardB: b.Guard,
-						AppA: a.App, AppB: b.App,
-					})
-					break
-				}
-			}
+	for s := 0; s < n; s++ {
+		start[s+1] += start[s]
+	}
+	byFrom := make([]int, len(m.Transitions))
+	fill := slices.Clone(start[:n])
+	for i, t := range m.Transitions {
+		byFrom[fill[t.From]] = i
+		fill[t.From]++
+	}
+	var froms []int
+	for s := 0; s < n; s++ {
+		if start[s+1] > start[s] {
+			froms = append(froms, s)
 		}
 	}
+	slices.SortFunc(froms, cmpDecimal)
+	byEvent := func(a, b int) int {
+		return strings.Compare(m.Transitions[a].event, m.Transitions[b].event)
+	}
+
+	const maxReports = 64
+	for _, s := range froms {
+		ts := byFrom[start[s]:start[s+1]]
+		slices.SortStableFunc(ts, byEvent)
+		for len(ts) > 0 {
+			g := 1
+			for g < len(ts) && m.Transitions[ts[g]].event == m.Transitions[ts[0]].event {
+				g++
+			}
+			for i := 0; i < g && len(m.Nondet) < maxReports; i++ {
+				m.budget.Tick("statemodel.nondet")
+				for j := i + 1; j < g; j++ {
+					a, b := &m.Transitions[ts[i]], &m.Transitions[ts[j]]
+					if a.To == b.To {
+						continue
+					}
+					if pathcond.Feasible(a.Guard.And(b.Guard)) {
+						m.Nondet = append(m.Nondet, NondetReport{
+							State: a.From, Event: a.Event,
+							ToA: a.To, ToB: b.To,
+							GuardA: a.Guard, GuardB: b.Guard,
+							AppA: a.App, AppB: b.App,
+						})
+						break
+					}
+				}
+			}
+			if len(m.Nondet) >= maxReports {
+				return
+			}
+			ts = ts[g:]
+		}
+	}
+}
+
+// cmpDecimal orders state IDs as the strings "<id>|" compare.
+func cmpDecimal(a, b int) int {
+	var ba, bb [24]byte
+	return bytes.Compare(
+		append(strconv.AppendInt(ba[:0], int64(a), 10), '|'),
+		append(strconv.AppendInt(bb[:0], int64(b), 10), '|'))
 }
 
 // ---------------------------------------------------------------------------

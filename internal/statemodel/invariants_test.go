@@ -1,6 +1,7 @@
 package statemodel
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/soteria-analysis/soteria/internal/ir"
@@ -81,6 +82,30 @@ func checkInvariants(t *testing.T, label string, m *Model) {
 			}
 		}
 	}
+	checkNames(t, label, m)
+}
+
+// checkNames asserts that every transition's cached label and event
+// name match a fresh rendering, and that Events() is exactly the
+// sorted set of the transitions' event names.
+func checkNames(t *testing.T, label string, m *Model) {
+	t.Helper()
+	set := map[string]bool{}
+	for ti, tr := range m.Transitions {
+		ev := tr.Event.String()
+		want := ev
+		if !tr.Guard.IsTrue() {
+			want += " [" + tr.Guard.String() + "]"
+		}
+		if tr.Label() != want || tr.EventName() != ev {
+			t.Fatalf("%s: transition %d caches (%q, %q), renders (%q, %q)",
+				label, ti, tr.Label(), tr.EventName(), want, ev)
+		}
+		set[ev] = true
+	}
+	if got, want := m.Events(), sortedKeys(set); !slices.Equal(got, want) {
+		t.Errorf("%s: Events() = %v, transitions carry %v", label, got, want)
+	}
 }
 
 func TestModelInvariantsPaperApps(t *testing.T) {
@@ -132,6 +157,18 @@ func TestModelInvariantsGroups(t *testing.T) {
 			t.Fatalf("%s: %v", g.ID, err)
 		}
 		checkInvariants(t, g.ID, m)
+
+		var models []*Model
+		for _, app := range apps {
+			mi, err := Build(app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			models = append(models, mi)
+		}
+		if u, err := Union(models...); err == nil {
+			checkInvariants(t, g.ID+" union", u)
+		}
 	}
 }
 

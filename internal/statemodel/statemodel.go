@@ -17,7 +17,10 @@
 package statemodel
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -93,20 +96,27 @@ type Transition struct {
 	Guard pathcond.Cond
 	// App is the index (into Model.Apps) of the app contributing the
 	// transition — Algorithm 2's edge labeling.
-	App     int
-	Handler string
-	// ActionsSig is the contributing path's action signature, kept for
-	// diagnostics and the general properties.
-	ActionsSig string
+	App int
+	// label and event cache Label() and Event.String(). Every
+	// constructor sets them from the model's interned names, so a
+	// model holds one copy of each distinct string.
+	label, event string
 }
 
 // Label renders the paper-style transition label: event plus residual
 // predicate.
-func (t Transition) Label() string {
-	if t.Guard.IsTrue() {
-		return t.Event.String()
+func (t Transition) Label() string { return t.label }
+
+// EventName is Event.String(), interned per model.
+func (t Transition) EventName() string { return t.event }
+
+// transitionLabel renders the label of an edge on the named event
+// with residual guard g.
+func transitionLabel(event string, g pathcond.Cond) string {
+	if g.IsTrue() {
+		return event
 	}
-	return t.Event.String() + " [" + t.Guard.String() + "]"
+	return event + " [" + g.String() + "]"
 }
 
 // NondetReport describes a nondeterminism violation: one state and
@@ -132,21 +142,82 @@ type AppModel struct {
 
 // Model is the extracted state model.
 type Model struct {
-	Apps        []*AppModel
-	Vars        []*Var
-	varIdx      map[string]int
-	States      []State
-	stateIdx    map[string]bool // presence; index derived from Idx encoding
-	stateID     map[string]int
+	Apps   []*AppModel
+	Vars   []*Var
+	varIdx map[string]int
+	States []State
+	// stride[i] is variable i's place value in a state's packed
+	// mixed-radix ID (the last variable varies fastest); nil when the
+	// domain product overflows. Build and Union enumerate the full
+	// product in that order, so there a state's ID is its packed value
+	// and successor IDs are pure arithmetic.
+	stride []int
+	// stateID and stateKeyID intern the states of synthetic models,
+	// keyed by packed ID or, when the product overflows, by the
+	// varint-encoded index vector.
+	stateID     map[uint64]int
+	stateKeyID  map[string]int
 	Transitions []Transition
-	Nondet      []NondetReport
-	Warnings    []string
-	opt         Options
-	budget      *guard.Budget
+	// events is the sorted set of Transitions' event names, maintained
+	// eagerly by every constructor: property workers share the model
+	// without locks, so it is never filled in lazily.
+	events   []string
+	names    interner
+	Nondet   []NondetReport
+	Warnings []string
+	opt      Options
+	budget   *guard.Budget
 	// StatesBeforeReduction is the would-be state count without
 	// property abstraction, using the standard discretisation (100
 	// levels per numeric attribute) — the Fig. 11 baseline.
 	StatesBeforeReduction int
+}
+
+// Events returns the sorted distinct event names (Event.String()) of
+// the model's transitions. The slice is shared; callers must not
+// modify it.
+func (m *Model) Events() []string { return m.events }
+
+// noteEvent adds an event name to the sorted event set.
+func (m *Model) noteEvent(name string) {
+	if i, found := slices.BinarySearch(m.events, name); !found {
+		m.events = slices.Insert(m.events, i, name)
+	}
+}
+
+// interner gives each distinct event name and transition label of a
+// model one string, and each label an ID, so edges dedupe on integer
+// tuples and consumers read names without re-rendering them.
+type interner struct {
+	events     map[Event]string
+	labels     map[string]int32
+	labelNames []string // by label ID
+}
+
+func (in *interner) event(ev Event) string {
+	if name, ok := in.events[ev]; ok {
+		return name
+	}
+	if in.events == nil {
+		in.events = map[Event]string{}
+	}
+	name := ev.String()
+	in.events[ev] = name
+	return name
+}
+
+// label returns the interned copy of label l and its ID.
+func (in *interner) label(l string) (string, int32) {
+	if id, ok := in.labels[l]; ok {
+		return in.labelNames[id], id
+	}
+	if in.labels == nil {
+		in.labels = map[string]int32{}
+	}
+	id := int32(len(in.labelNames))
+	in.labels[l] = id
+	in.labelNames = append(in.labelNames, l)
+	return l, id
 }
 
 // VarByKey returns the model variable with the given key.
@@ -196,25 +267,55 @@ func (m *Model) FindStates(req map[string]string) []int {
 	return out
 }
 
-func (m *Model) stateKey(idx []int) string {
-	var sb strings.Builder
-	for _, i := range idx {
-		fmt.Fprintf(&sb, "%d,", i)
+// strides returns each variable's place value in the mixed-radix
+// packing of a state, or nil when the domain product exceeds MaxInt.
+func strides(vars []*Var) []int {
+	st := make([]int, len(vars))
+	p := 1
+	for i := len(vars) - 1; i >= 0; i-- {
+		st[i] = p
+		if n := len(vars[i].Values); n > 0 {
+			if p > math.MaxInt/n {
+				return nil
+			}
+			p *= n
+		}
 	}
-	return sb.String()
+	return st
 }
 
-// internStateByIdx returns the state's ID, creating it if new.
+// internState returns the ID of the synthetic state with the given
+// domain indices, creating it if new.
 func (m *Model) internState(idx []int) int {
-	k := m.stateKey(idx)
-	if id, ok := m.stateID[k]; ok {
+	var (
+		packed uint64
+		key    string
+		id     int
+		ok     bool
+	)
+	if m.stride != nil {
+		for i, d := range idx {
+			packed += uint64(d * m.stride[i])
+		}
+		id, ok = m.stateID[packed]
+	} else {
+		var buf []byte
+		for _, d := range idx {
+			buf = binary.AppendUvarint(buf, uint64(d))
+		}
+		key = string(buf)
+		id, ok = m.stateKeyID[key]
+	}
+	if ok {
 		return id
 	}
-	id := len(m.States)
-	cp := make([]int, len(idx))
-	copy(cp, idx)
-	m.States = append(m.States, State{Idx: cp})
-	m.stateID[k] = id
+	id = len(m.States)
+	m.States = append(m.States, State{Idx: slices.Clone(idx)})
+	if m.stride != nil {
+		m.stateID[packed] = id
+	} else {
+		m.stateKeyID[key] = id
+	}
 	return id
 }
 

@@ -17,11 +17,7 @@ import (
 // duplicate keys are rejected. States and transitions are added with
 // AddState and AddTransition.
 func NewSynthetic(vars []*Var) (*Model, error) {
-	m := &Model{
-		varIdx:   map[string]int{},
-		stateIdx: map[string]bool{},
-		stateID:  map[string]int{},
-	}
+	m := &Model{varIdx: map[string]int{}}
 	for _, v := range vars {
 		if v.Key == "" {
 			return nil, fmt.Errorf("statemodel: synthetic variable with empty key")
@@ -34,6 +30,11 @@ func NewSynthetic(vars []*Var) (*Model, error) {
 		}
 		m.varIdx[v.Key] = len(m.Vars)
 		m.Vars = append(m.Vars, v)
+	}
+	if m.stride = strides(m.Vars); m.stride != nil {
+		m.stateID = map[uint64]int{}
+	} else {
+		m.stateKeyID = map[string]int{}
 	}
 	return m, nil
 }
@@ -60,9 +61,12 @@ func (m *Model) AddTransition(from, to int, ev Event, g pathcond.Cond) error {
 	if from < 0 || from >= len(m.States) || to < 0 || to >= len(m.States) {
 		return fmt.Errorf("statemodel: transition %d->%d out of range (%d states)", from, to, len(m.States))
 	}
+	name := m.names.event(ev)
 	m.Transitions = append(m.Transitions, Transition{
 		From: from, To: to, Event: ev, Guard: g,
+		label: transitionLabel(name, g), event: name,
 	})
+	m.noteEvent(name)
 	return nil
 }
 

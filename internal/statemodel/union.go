@@ -1,6 +1,9 @@
 package statemodel
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Union implements Algorithm 2: the union of several apps' state
 // models. The union model's states are the Cartesian product over the
@@ -14,10 +17,7 @@ import "fmt"
 // structurally from the already-extracted models, which is what §6.3
 // benchmarks (4±2.1 s for 30 interacting apps in the paper's setup).
 func Union(models ...*Model) (*Model, error) {
-	u := &Model{
-		varIdx:  map[string]int{},
-		stateID: map[string]int{},
-	}
+	u := &Model{varIdx: map[string]int{}}
 	// Merge variables by key (line 1: states are tuples of attribute
 	// values with duplicate devices' attributes removed).
 	for _, in := range models {
@@ -47,53 +47,68 @@ func Union(models ...*Model) (*Model, error) {
 		return nil, err
 	}
 
-	// Add transitions (lines 2-12).
+	// Add transitions (lines 2-12). Union states are the full product
+	// in mixed-radix order, so the states containing an input state and
+	// their successors are computed from packed IDs.
 	appOffset := 0
-	seen := map[edgeKey]bool{}
+	var edges edgeSet
 	for _, in := range models {
 		// proj[i] is the union index of input variable i.
 		proj := make([]int, len(in.Vars))
 		for i, v := range in.Vars {
 			proj[i] = u.varIdx[v.Key]
 		}
+		free := u.freeOffsets(proj)
 		for _, t := range in.Transitions {
-			from := in.States[t.From]
-			to := in.States[t.To]
-			// V' = union states containing v (line 5): those agreeing
-			// with `from` on the input model's variables.
-			for s := range u.States {
-				agree := true
-				for i, uj := range proj {
-					if u.States[s].Idx[uj] != from.Idx[i] {
-						agree = false
-						break
-					}
-				}
-				if !agree {
-					continue
-				}
-				idx := make([]int, len(u.Vars))
-				copy(idx, u.States[s].Idx)
-				for i, uj := range proj {
-					idx[uj] = to.Idx[i]
-				}
-				toID := u.internState(idx)
+			from := in.States[t.From].Idx
+			to := in.States[t.To].Idx
+			// base is the smallest union state containing v; delta moves
+			// every such state to the one containing u.
+			base, delta := 0, 0
+			for i, uj := range proj {
+				base += from[i] * u.stride[uj]
+				delta += (to[i] - from[i]) * u.stride[uj]
+			}
+			label, labelID := u.names.label(t.label)
+			app := appOffset + t.App
+			// V' = union states containing v (line 5), ascending.
+			noted := false
+			for _, off := range free {
+				s := base + off
 				nt := Transition{
-					From: s, To: toID, Event: t.Event, Guard: t.Guard,
-					App: appOffset + t.App, Handler: t.Handler, ActionsSig: t.ActionsSig,
+					From: s, To: s + delta, Event: t.Event, Guard: t.Guard, App: app,
+					label: label, event: t.event,
 				}
-				k := edgeKey{from: s, to: toID, label: nt.Label(), app: nt.App}
-				if seen[k] {
-					continue
+				if edges.add(nt, labelID) && !noted {
+					noted = true
+					u.noteEvent(t.event)
 				}
-				seen[k] = true
-				u.Transitions = append(u.Transitions, nt)
 			}
 		}
 		appOffset += len(in.Apps)
 	}
+	u.Transitions = edges.transitions()
 	u.detectNondeterminism()
 	return u, nil
+}
+
+// freeOffsets returns, in ascending order, the packed values of every
+// assignment to the union variables not in proj.
+func (u *Model) freeOffsets(proj []int) []int {
+	offs := []int{0}
+	for vi, v := range u.Vars {
+		if slices.Contains(proj, vi) {
+			continue
+		}
+		next := make([]int, 0, len(offs)*len(v.Values))
+		for _, o := range offs {
+			for d := range v.Values {
+				next = append(next, o+d*u.stride[vi])
+			}
+		}
+		offs = next
+	}
+	return offs
 }
 
 func sameValues(a, b []string) bool {

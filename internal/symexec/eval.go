@@ -429,7 +429,7 @@ var sinkCalls = map[string]bool{
 	"sendPush": true, "sendPushMessage": true,
 	"sendNotification": true, "sendNotificationToContacts": true,
 	"sendNotificationEvent": true,
-	"httpGet": true, "httpPost": true, "httpPostJson": true,
+	"httpGet":               true, "httpPost": true, "httpPostJson": true,
 	"httpPut": true, "httpPutJson": true, "httpDelete": true,
 	"httpHead": true,
 }
