@@ -300,14 +300,10 @@ type edgeKey struct {
 	from, to, app, label int32
 }
 
-// edgeSet collects a model's deduplicated transitions. They are
-// appended in chunks and concatenated once at the end, so each is
-// copied once instead of through every growth step of one large slice.
+// edgeSet collects a model's deduplicated transitions.
 type edgeSet struct {
 	seen map[edgeKey]struct{}
-	full [][]Transition
-	cur  []Transition
-	n    int
+	ts   []Transition
 }
 
 // add appends t unless an edge with the same endpoints, app and label
@@ -321,27 +317,8 @@ func (e *edgeSet) add(t Transition, label int32) bool {
 		e.seen = map[edgeKey]struct{}{}
 	}
 	e.seen[k] = struct{}{}
-	if len(e.cur) == cap(e.cur) {
-		if e.cur != nil {
-			e.full = append(e.full, e.cur)
-		}
-		e.cur = make([]Transition, 0, min(max(2*cap(e.cur), 16), 4096))
-	}
-	e.cur = append(e.cur, t)
-	e.n++
+	e.ts = append(e.ts, t)
 	return true
-}
-
-// transitions returns the added transitions in insertion order.
-func (e *edgeSet) transitions() []Transition {
-	if len(e.full) == 0 {
-		return e.cur
-	}
-	out := make([]Transition, 0, e.n)
-	for _, c := range e.full {
-		out = append(out, c...)
-	}
-	return append(out, e.cur...)
 }
 
 // outcome is a guard atom's resolution against one state.
@@ -395,7 +372,7 @@ func (m *Model) deriveTransitions() {
 			}
 		}
 	}
-	m.Transitions = edges.transitions()
+	m.Transitions = edges.ts
 }
 
 func (m *Model) derivePathTransitions(ai int, am *AppModel, ep *ir.EntryPoint, trigKey string, path symexec.Path, edges *edgeSet) {

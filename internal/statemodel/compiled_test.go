@@ -71,10 +71,10 @@ func TestTransitionSize(t *testing.T) {
 	}
 }
 
-// TestSyntheticStateInterning covers both synthetic interning keys:
-// packed IDs, and varint-encoded vectors when the product overflows.
+// TestSyntheticStateInterning checks that re-adding a synthetic state
+// returns its original ID, for short and long index vectors.
 func TestSyntheticStateInterning(t *testing.T) {
-	for _, nvars := range []int{2, 70} { // 2^70 overflows the packing
+	for _, nvars := range []int{2, 70} {
 		vars := make([]*Var, nvars)
 		for i := range vars {
 			vars[i] = &Var{Key: fmt.Sprintf("d%d.a", i), Values: []string{"x", "y"}}
@@ -83,9 +83,6 @@ func TestSyntheticStateInterning(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if packed := m.stride != nil; packed != (nvars == 2) {
-			t.Fatalf("%d vars: packed = %v", nvars, packed)
-		}
 		a, b := make([]int, nvars), make([]int, nvars)
 		b[nvars-1] = 1
 		ida, _ := m.AddState(a)
@@ -93,6 +90,26 @@ func TestSyntheticStateInterning(t *testing.T) {
 		again, _ := m.AddState(append([]int(nil), a...))
 		if ida != 0 || idb != 1 || again != 0 || len(m.States) != 2 {
 			t.Fatalf("%d vars: ids %d %d %d, %d states", nvars, ida, idb, again, len(m.States))
+		}
+	}
+}
+
+// TestTransitionLiteralNames checks that a Transition built outside
+// the package's constructors still renders its label and event name.
+func TestTransitionLiteralNames(t *testing.T) {
+	g := pathcond.True().WithOpaque("input", false)
+	for _, tc := range []struct {
+		tr        Transition
+		label, ev string
+	}{
+		{Transition{Event: DeviceEvent("dev.attr", "on"), Guard: pathcond.True()}, "dev.attr.on", "dev.attr.on"},
+		{Transition{Event: DeviceEvent("dev.attr", "on"), Guard: g}, "dev.attr.on [" + g.String() + "]", "dev.attr.on"},
+	} {
+		if got := tc.tr.Label(); got != tc.label {
+			t.Errorf("Label() = %q, want %q", got, tc.label)
+		}
+		if got := tc.tr.EventName(); got != tc.ev {
+			t.Errorf("EventName() = %q, want %q", got, tc.ev)
 		}
 	}
 }

@@ -19,7 +19,6 @@ package statemodel
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -85,7 +84,10 @@ func (e Event) String() string {
 	return e.VarKey + "." + e.Value
 }
 
-// Transition is one labeled edge of the model.
+// Transition is one labeled edge of the model. Transitions are made by
+// the package's constructors (Build, Union, AddTransition), which cache
+// the label and event name; Event and Guard must not be changed after
+// construction. A Transition built elsewhere renders both on demand.
 type Transition struct {
 	From, To int
 	Event    Event
@@ -105,10 +107,20 @@ type Transition struct {
 
 // Label renders the paper-style transition label: event plus residual
 // predicate.
-func (t Transition) Label() string { return t.label }
+func (t Transition) Label() string {
+	if t.label == "" {
+		return transitionLabel(t.Event.String(), t.Guard)
+	}
+	return t.label
+}
 
 // EventName is Event.String(), interned per model.
-func (t Transition) EventName() string { return t.event }
+func (t Transition) EventName() string {
+	if t.event == "" {
+		return t.Event.String()
+	}
+	return t.event
+}
 
 // transitionLabel renders the label of an edge on the named event
 // with residual guard g.
@@ -147,16 +159,14 @@ type Model struct {
 	varIdx map[string]int
 	States []State
 	// stride[i] is variable i's place value in a state's packed
-	// mixed-radix ID (the last variable varies fastest); nil when the
-	// domain product overflows. Build and Union enumerate the full
-	// product in that order, so there a state's ID is its packed value
-	// and successor IDs are pure arithmetic.
+	// mixed-radix ID (the last variable varies fastest). Build and
+	// Union enumerate the full product in that order, so there a
+	// state's ID is its packed value and successor IDs are pure
+	// arithmetic. Synthetic models leave it nil.
 	stride []int
-	// stateID and stateKeyID intern the states of synthetic models,
-	// keyed by packed ID or, when the product overflows, by the
+	// stateKey interns the states of synthetic models by their
 	// varint-encoded index vector.
-	stateID     map[uint64]int
-	stateKeyID  map[string]int
+	stateKey    map[string]int
 	Transitions []Transition
 	// events is the sorted set of Transitions' event names, maintained
 	// eagerly by every constructor: property workers share the model
@@ -268,16 +278,13 @@ func (m *Model) FindStates(req map[string]string) []int {
 }
 
 // strides returns each variable's place value in the mixed-radix
-// packing of a state, or nil when the domain product exceeds MaxInt.
+// packing of a state. Callers bound the domain product first.
 func strides(vars []*Var) []int {
 	st := make([]int, len(vars))
 	p := 1
 	for i := len(vars) - 1; i >= 0; i-- {
 		st[i] = p
 		if n := len(vars[i].Values); n > 0 {
-			if p > math.MaxInt/n {
-				return nil
-			}
 			p *= n
 		}
 	}
@@ -287,35 +294,16 @@ func strides(vars []*Var) []int {
 // internState returns the ID of the synthetic state with the given
 // domain indices, creating it if new.
 func (m *Model) internState(idx []int) int {
-	var (
-		packed uint64
-		key    string
-		id     int
-		ok     bool
-	)
-	if m.stride != nil {
-		for i, d := range idx {
-			packed += uint64(d * m.stride[i])
-		}
-		id, ok = m.stateID[packed]
-	} else {
-		var buf []byte
-		for _, d := range idx {
-			buf = binary.AppendUvarint(buf, uint64(d))
-		}
-		key = string(buf)
-		id, ok = m.stateKeyID[key]
+	var buf []byte
+	for _, d := range idx {
+		buf = binary.AppendUvarint(buf, uint64(d))
 	}
-	if ok {
+	if id, ok := m.stateKey[string(buf)]; ok {
 		return id
 	}
-	id = len(m.States)
+	id := len(m.States)
 	m.States = append(m.States, State{Idx: slices.Clone(idx)})
-	if m.stride != nil {
-		m.stateID[packed] = id
-	} else {
-		m.stateKeyID[key] = id
-	}
+	m.stateKey[string(buf)] = id
 	return id
 }
 

@@ -17,7 +17,7 @@ import (
 // duplicate keys are rejected. States and transitions are added with
 // AddState and AddTransition.
 func NewSynthetic(vars []*Var) (*Model, error) {
-	m := &Model{varIdx: map[string]int{}}
+	m := &Model{varIdx: map[string]int{}, stateKey: map[string]int{}}
 	for _, v := range vars {
 		if v.Key == "" {
 			return nil, fmt.Errorf("statemodel: synthetic variable with empty key")
@@ -30,11 +30,6 @@ func NewSynthetic(vars []*Var) (*Model, error) {
 		}
 		m.varIdx[v.Key] = len(m.Vars)
 		m.Vars = append(m.Vars, v)
-	}
-	if m.stride = strides(m.Vars); m.stride != nil {
-		m.stateID = map[uint64]int{}
-	} else {
-		m.stateKeyID = map[string]int{}
 	}
 	return m, nil
 }

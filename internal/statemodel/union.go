@@ -69,7 +69,8 @@ func Union(models ...*Model) (*Model, error) {
 				base += from[i] * u.stride[uj]
 				delta += (to[i] - from[i]) * u.stride[uj]
 			}
-			label, labelID := u.names.label(t.label)
+			label, labelID := u.names.label(t.Label())
+			event := t.EventName()
 			app := appOffset + t.App
 			// V' = union states containing v (line 5), ascending.
 			noted := false
@@ -77,17 +78,17 @@ func Union(models ...*Model) (*Model, error) {
 				s := base + off
 				nt := Transition{
 					From: s, To: s + delta, Event: t.Event, Guard: t.Guard, App: app,
-					label: label, event: t.event,
+					label: label, event: event,
 				}
 				if edges.add(nt, labelID) && !noted {
 					noted = true
-					u.noteEvent(t.event)
+					u.noteEvent(event)
 				}
 			}
 		}
 		appOffset += len(in.Apps)
 	}
-	u.Transitions = edges.transitions()
+	u.Transitions = edges.ts
 	u.detectNondeterminism()
 	return u, nil
 }
