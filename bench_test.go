@@ -234,8 +234,7 @@ func BenchmarkAblationPathMerging(b *testing.B) {
 // Table 4 groups) at several batch-worker counts. Every run is cold
 // (no cache), so the parallel sub-benchmarks measure real fan-out;
 // speedup over workers/1 tracks GOMAXPROCS — on a single-core runner
-// the times are expected to be flat. cmd/soteria-bench -parallel-bench
-// writes the sequential-vs-parallel comparison to BENCH_parallel.json.
+// the times are expected to be flat.
 func BenchmarkBatch(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers/%d", workers), func(b *testing.B) {

@@ -8,12 +8,6 @@
 //	soteria-bench -fig 11a|11b|union|verify
 //	soteria-bench -ablation predicates|merging
 //	soteria-bench -parallel N     # fan experiment analyses out over N workers
-//	soteria-bench -parallel-bench # time sequential vs parallel corpus audit
-//	                              # at each GOMAXPROCS in -parallel-bench-procs
-//	                              # (default 1,4,8), write BENCH_parallel.json
-//	soteria-bench -bdd-bench      # sweep synthetic models (default 10^3..10^6
-//	                              # states) through explicit vs BDD engines,
-//	                              # old vs new kernel, write BENCH_bdd.json
 //	soteria-bench -obs-bench      # measure span-tracing overhead (off vs on)
 //	                              # on a full analysis, write BENCH_obs.json,
 //	                              # fail if the median overhead exceeds 3%
@@ -21,26 +15,12 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
-	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
-	"time"
 
-	"github.com/soteria-analysis/soteria/internal/bdd"
-	"github.com/soteria-analysis/soteria/internal/ctl"
 	"github.com/soteria-analysis/soteria/internal/experiments"
-	"github.com/soteria-analysis/soteria/internal/kripke"
-	"github.com/soteria-analysis/soteria/internal/market/audit"
-	"github.com/soteria-analysis/soteria/internal/modelcheck"
-	"github.com/soteria-analysis/soteria/internal/statemodel"
-	"github.com/soteria-analysis/soteria/internal/symbolic"
 )
 
 func main() {
@@ -48,12 +28,6 @@ func main() {
 	fig := flag.String("fig", "", "regenerate one figure: 11a, 11b, union, or verify")
 	ablation := flag.String("ablation", "", "run one ablation: predicates or merging")
 	parallel := flag.Int("parallel", 1, "fan batch analyses out over this many workers (outputs are identical at any setting)")
-	parallelBench := flag.Bool("parallel-bench", false, "benchmark a sequential vs parallel market audit and write BENCH_parallel.json")
-	benchOut := flag.String("parallel-bench-out", "BENCH_parallel.json", "output path for -parallel-bench")
-	benchProcs := flag.String("parallel-bench-procs", "1,4,8", "comma-separated GOMAXPROCS settings to sweep in -parallel-bench")
-	bddBench := flag.Bool("bdd-bench", false, "benchmark explicit vs BDD engines (old vs new kernel) on synthetic models and write BENCH_bdd.json")
-	bddBenchOut := flag.String("bdd-bench-out", "BENCH_bdd.json", "output path for -bdd-bench")
-	bddBenchSizes := flag.String("bdd-bench-sizes", "1000,10000,100000,1000000", "comma-separated approximate state counts to sweep in -bdd-bench")
 	obsBench := flag.Bool("obs-bench", false, "measure span-tracing overhead on a full analysis and write BENCH_obs.json")
 	obsBenchOut := flag.String("obs-bench-out", "BENCH_obs.json", "output path for -obs-bench")
 	obsBenchPairs := flag.Int("obs-bench-pairs", 40, "off/on measurement pairs for -obs-bench")
@@ -81,22 +55,6 @@ func main() {
 		if err := runObsBench(*obsBenchPairs, *obsBenchOut); err != nil {
 			fmt.Fprintf(os.Stderr, "soteria-bench: obs-bench: %v\n", err)
 			pprof.StopCPUProfile()
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *parallelBench {
-		if err := runParallelBench(*benchProcs, *benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "soteria-bench: parallel-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *bddBench {
-		if err := runBDDBench(*bddBenchSizes, *bddBenchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "soteria-bench: bdd-bench: %v\n", err)
 			os.Exit(1)
 		}
 		return
@@ -220,305 +178,4 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-}
-
-// parallelBenchPoint is one setting in the -parallel-bench sweep:
-// sequential vs parallel wall time for a cold full-corpus audit (65
-// individual apps + the Table 4 groups) at a fixed GOMAXPROCS, and
-// whether the two runs produced identical verdicts.
-type parallelBenchPoint struct {
-	GOMAXPROCS        int     `json:"gomaxprocs"`
-	Parallel          int     `json:"parallel"`
-	SequentialFirst   bool    `json:"sequential_first"`
-	SequentialMS      float64 `json:"sequential_ms"`
-	ParallelMS        float64 `json:"parallel_ms"`
-	Speedup           float64 `json:"speedup"`
-	VerdictsIdentical bool    `json:"verdicts_identical"`
-	// Oversubscribed marks points whose GOMAXPROCS exceeds the host's
-	// CPU count: their speedup measures scheduler thrash, not scaling,
-	// and must not be read as part of the curve.
-	Oversubscribed bool `json:"oversubscribed,omitempty"`
-}
-
-// parallelBenchResult is the machine-readable trajectory
-// -parallel-bench emits: one point per GOMAXPROCS setting, so the
-// scaling curve (and its ceiling on a small host) is visible in a
-// single artifact. HostCPUs records the physical budget: points with
-// gomaxprocs above it can only show oversubscription, never speedup.
-type parallelBenchResult struct {
-	CorpusApps int                  `json:"corpus_apps"`
-	Groups     int                  `json:"groups"`
-	HostCPUs   int                  `json:"host_cpus"`
-	Points     []parallelBenchPoint `json:"points"`
-}
-
-// runParallelBench sweeps the GOMAXPROCS settings in procs, timing two
-// cold audits of the whole market corpus at each — workers=1 and
-// workers=gomaxprocs (4 when the setting is 1, so the 1-proc point
-// honestly shows fan-out without cores buys ~1x). Each audit gets a
-// fresh (nil) cache so no run borrows another's work.
-//
-// Two de-biasing measures: a discarded warmup audit runs first (OS
-// page cache, lazily-parsed corpus sources, and runtime JIT-ish
-// warmup — GC sizing, map growth — would otherwise be charged entirely
-// to whichever run goes first), and the sequential/parallel order
-// alternates per sweep point so neither side systematically enjoys the
-// warmer process.
-func runParallelBench(procs, out string) error {
-	ctx := context.Background()
-	restore := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(restore)
-
-	// Discarded warmup pass (sequential; results dropped).
-	_ = audit.Run(ctx, 1, nil)
-
-	res := parallelBenchResult{HostCPUs: runtime.NumCPU()}
-	for i, field := range strings.Split(procs, ",") {
-		maxprocs, err := strconv.Atoi(strings.TrimSpace(field))
-		if err != nil || maxprocs < 1 {
-			return fmt.Errorf("bad -parallel-bench-procs entry %q", field)
-		}
-		runtime.GOMAXPROCS(maxprocs)
-		parallel := maxprocs
-		if parallel < 2 {
-			parallel = 4
-		}
-
-		var seq, par *audit.Report
-		var seqDur, parDur time.Duration
-		timeRun := func(workers int) (*audit.Report, time.Duration) {
-			t0 := time.Now()
-			r := audit.Run(ctx, workers, nil)
-			return r, time.Since(t0)
-		}
-		if i%2 == 0 {
-			seq, seqDur = timeRun(1)
-			par, parDur = timeRun(parallel)
-		} else {
-			par, parDur = timeRun(parallel)
-			seq, seqDur = timeRun(1)
-		}
-
-		res.CorpusApps = len(seq.Apps)
-		res.Groups = len(seq.Groups)
-		pt := parallelBenchPoint{
-			GOMAXPROCS:        maxprocs,
-			Parallel:          parallel,
-			SequentialFirst:   i%2 == 0,
-			SequentialMS:      float64(seqDur.Microseconds()) / 1000,
-			ParallelMS:        float64(parDur.Microseconds()) / 1000,
-			Speedup:           seqDur.Seconds() / parDur.Seconds(),
-			VerdictsIdentical: identicalVerdicts(seq, par),
-			Oversubscribed:    maxprocs > res.HostCPUs,
-		}
-		res.Points = append(res.Points, pt)
-		note := ""
-		if pt.Oversubscribed {
-			note = " [oversubscribed]"
-		}
-		fmt.Printf("parallel bench @GOMAXPROCS=%d: sequential %.1fms, parallel(%d) %.1fms, speedup %.2fx, verdicts identical: %t%s\n",
-			pt.GOMAXPROCS, pt.SequentialMS, pt.Parallel, pt.ParallelMS, pt.Speedup, pt.VerdictsIdentical, note)
-	}
-
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(res); err != nil {
-		return err
-	}
-	fmt.Printf("parallel bench trajectory (%d points) → %s\n", len(res.Points), out)
-	return nil
-}
-
-// bddKernelPoint is one kernel's measurement at one model size:
-// wall time for the full symbolic check (encode + fixpoints), the
-// per-operation cost (wall / ITE-cache lookups, the kernel's unit of
-// work), and the kernel's table statistics at the end of the run.
-type bddKernelPoint struct {
-	WallMS         float64 `json:"wall_ms"`
-	NsPerOp        float64 `json:"ns_per_op"`
-	Nodes          int     `json:"nodes"`
-	UniqueCapacity int     `json:"unique_capacity,omitempty"`
-	UniqueLoad     float64 `json:"unique_load,omitempty"`
-	Rehashes       int     `json:"rehashes,omitempty"`
-	ITELookups     uint64  `json:"ite_lookups"`
-	ITEHitRate     float64 `json:"ite_hit_rate"`
-	OpLookups      uint64  `json:"op_lookups"`
-	OpHitRate      float64 `json:"op_hit_rate"`
-}
-
-// bddBenchPoint is one model size in the -bdd-bench sweep: the
-// collapse model's actual state count, explicit-engine wall time, and
-// the new (open-addressed) vs legacy (map-based) kernel measurements
-// for the identical symbolic workload. Agree reports that all three
-// engines returned the same verdict and satisfaction set.
-type bddBenchPoint struct {
-	RequestedStates int            `json:"requested_states"`
-	States          int            `json:"states"`
-	Domain          int            `json:"domain"`
-	ExplicitMS      float64        `json:"explicit_ms"`
-	NewKernel       bddKernelPoint `json:"new_kernel"`
-	LegacyKernel    bddKernelPoint `json:"legacy_kernel"`
-	SpeedupWall     float64        `json:"speedup_wall"`
-	SpeedupNsPerOp  float64        `json:"speedup_ns_per_op"`
-	Agree           bool           `json:"agree"`
-}
-
-// bddBenchResult is the artifact -bdd-bench writes: the swept formula,
-// one point per model size, and the host shape for context.
-type bddBenchResult struct {
-	Formula  string          `json:"formula"`
-	HostCPUs int             `json:"host_cpus"`
-	Points   []bddBenchPoint `json:"points"`
-}
-
-// runBDDBench sweeps synthetic collapse models (statemodel.
-// NewSyntheticCollapse, d² states with d = round(√N)) through three
-// engines — the explicit-state checker, the symbolic engine over the
-// open-addressed kernel, and the same engine over the retained
-// map-based legacy kernel — and writes BENCH_bdd.json. The formula is
-// EF(dev0.attr=v0 ∧ dev1.attr=v0), a backward-reachability fixpoint
-// that converges in ~log₂(N) iterations, so the symbolic engines are
-// exercised at 10⁶ states in seconds. The NEW kernel always runs
-// before the legacy one: any cache/allocator warmth favors whichever
-// runs second, so the recorded speedup is conservative.
-func runBDDBench(sizes, out string) error {
-	f := ctl.EF{X: ctl.And{L: ctl.Prop{Name: "dev0.attr=v0"}, R: ctl.Prop{Name: "dev1.attr=v0"}}}
-	res := bddBenchResult{Formula: f.String(), HostCPUs: runtime.NumCPU()}
-
-	// Warmup: one small end-to-end pass per engine, results discarded,
-	// so the first timed point isn't charged for lazy runtime setup.
-	if err := func() error {
-		m, err := statemodel.NewSyntheticCollapse(8)
-		if err != nil {
-			return err
-		}
-		k := kripke.FromModel(m)
-		_ = modelcheck.Check(k, f)
-		_ = symbolic.New(k).Check(f)
-		_ = symbolic.NewWithKernel(k, nil, func(n int) bdd.Kernel { return bdd.NewLegacy(n) }).Check(f)
-		return nil
-	}(); err != nil {
-		return fmt.Errorf("warmup: %w", err)
-	}
-
-	for _, field := range strings.Split(sizes, ",") {
-		want, err := strconv.Atoi(strings.TrimSpace(field))
-		if err != nil || want < 4 {
-			return fmt.Errorf("bad -bdd-bench-sizes entry %q", field)
-		}
-		d := int(math.Round(math.Sqrt(float64(want))))
-		if d < 2 {
-			d = 2
-		}
-		m, err := statemodel.NewSyntheticCollapse(d)
-		if err != nil {
-			return err
-		}
-		k := kripke.FromModel(m)
-
-		t0 := time.Now()
-		exp := modelcheck.Check(k, f)
-		expDur := time.Since(t0)
-
-		t1 := time.Now()
-		eng := symbolic.New(k)
-		newRes := eng.Check(f)
-		newDur := time.Since(t1)
-		newPt := kernelPoint(newDur, eng.KernelStats())
-
-		t2 := time.Now()
-		leg := symbolic.NewWithKernel(k, nil, func(n int) bdd.Kernel { return bdd.NewLegacy(n) })
-		legRes := leg.Check(f)
-		legDur := time.Since(t2)
-		legPt := kernelPoint(legDur, leg.KernelStats())
-
-		pt := bddBenchPoint{
-			RequestedStates: want,
-			States:          k.N,
-			Domain:          d,
-			ExplicitMS:      float64(expDur.Microseconds()) / 1000,
-			NewKernel:       newPt,
-			LegacyKernel:    legPt,
-			SpeedupWall:     legDur.Seconds() / newDur.Seconds(),
-			Agree: exp.Holds == newRes.Holds && exp.Holds == legRes.Holds &&
-				sameSat(exp.Sat, newRes.Sat) && sameSat(exp.Sat, legRes.Sat),
-		}
-		if newPt.NsPerOp > 0 {
-			pt.SpeedupNsPerOp = legPt.NsPerOp / newPt.NsPerOp
-		}
-		res.Points = append(res.Points, pt)
-		fmt.Printf("bdd bench @%d states (d=%d): explicit %.1fms, new kernel %.1fms (%.1f ns/op, %d nodes, load %.2f, ite hit %.2f), legacy %.1fms (%.1f ns/op), speedup %.2fx wall / %.2fx ns/op, agree: %t\n",
-			pt.States, d, pt.ExplicitMS,
-			newPt.WallMS, newPt.NsPerOp, newPt.Nodes, newPt.UniqueLoad, newPt.ITEHitRate,
-			legPt.WallMS, legPt.NsPerOp, pt.SpeedupWall, pt.SpeedupNsPerOp, pt.Agree)
-	}
-
-	fo, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer fo.Close()
-	enc := json.NewEncoder(fo)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(res); err != nil {
-		return err
-	}
-	fmt.Printf("bdd bench sweep (%d points) → %s\n", len(res.Points), out)
-	return nil
-}
-
-func kernelPoint(dur time.Duration, st bdd.Stats) bddKernelPoint {
-	p := bddKernelPoint{
-		WallMS:         float64(dur.Microseconds()) / 1000,
-		Nodes:          st.Nodes,
-		UniqueCapacity: st.UniqueCapacity,
-		UniqueLoad:     st.UniqueLoad,
-		Rehashes:       st.Rehashes,
-		ITELookups:     st.ITELookups,
-		ITEHitRate:     st.ITEHitRate,
-		OpLookups:      st.OpLookups,
-		OpHitRate:      st.OpHitRate,
-	}
-	if st.ITELookups > 0 {
-		p.NsPerOp = float64(dur.Nanoseconds()) / float64(st.ITELookups)
-	}
-	return p
-}
-
-func sameSat(a, b []bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func identicalVerdicts(a, b *audit.Report) bool {
-	same := func(x, y []audit.Entry) bool {
-		if len(x) != len(y) {
-			return false
-		}
-		for i := range x {
-			if x[i].ID != y[i].ID || x[i].Incomplete != y[i].Incomplete ||
-				len(x[i].Violated) != len(y[i].Violated) {
-				return false
-			}
-			for j := range x[i].Violated {
-				if x[i].Violated[j] != y[i].Violated[j] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	return same(a.Apps, b.Apps) && same(a.Groups, b.Groups)
 }

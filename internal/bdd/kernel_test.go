@@ -1,6 +1,7 @@
 package bdd
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -90,12 +91,6 @@ func TestSatCountSaturatesAtHighVarCounts(t *testing.T) {
 	}
 	if n := m.SatCount(f); n != math.Ldexp(1, 1000) {
 		t.Errorf("SatCount(100-var conjunction) = %g, want 2^1000", n)
-	}
-
-	// The legacy kernel shares pow2 and must saturate identically.
-	lm := NewLegacy(nvars)
-	if n := lm.SatCount(True); !math.IsInf(n, 1) {
-		t.Errorf("legacy SatCount(true) over %d vars = %g, want +Inf", nvars, n)
 	}
 }
 
@@ -212,93 +207,120 @@ func TestComputedTableEviction(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: the open-addressed kernel against the retained legacy
-// map-based kernel, on identical random workloads.
+// Differential: every operation against truth tables computed directly
+// from its definition, on a random workload over 8 variables.
 
-func TestNewVsLegacyDifferential(t *testing.T) {
-	const bits = 8
-	nm := New(bits)
-	lm := NewLegacy(bits)
+const ttBits = 8
+
+// truthTable holds a function's value under every assignment a, where
+// bit v of a is the value of variable v.
+type truthTable [1 << ttBits]bool
+
+func ttFrom(fn func(a int) bool) (t truthTable) {
+	for a := range t {
+		t[a] = fn(a)
+	}
+	return t
+}
+
+// ttExists quantifies the variables in vars one at a time: the result
+// holds at a when t holds with v false or with v true.
+func ttExists(t truthTable, vars map[int]bool) truthTable {
+	for v := range vars {
+		u := t
+		t = ttFrom(func(a int) bool { return u[a|1<<v] || u[a&^(1<<v)] })
+	}
+	return t
+}
+
+// ttRename substitutes variables: the result at a is t at the
+// assignment that gives each mapped variable o the value of a's
+// variable shift[o] and leaves unmapped variables as they are.
+func ttRename(t truthTable, shift map[int]int) truthTable {
+	return ttFrom(func(a int) bool {
+		b := a
+		for o, n := range shift {
+			b = b&^(1<<o) | (a>>n&1)<<o
+		}
+		return t[b]
+	})
+}
+
+func TestTruthTableDifferential(t *testing.T) {
+	m := New(ttBits)
 	rng := rand.New(rand.NewSource(7))
 
-	type pair struct{ n, l Ref }
-	pool := []pair{{True, True}, {False, False}}
-	for v := 0; v < bits; v++ {
-		pool = append(pool, pair{nm.Var(v), lm.Var(v)})
-	}
-	pick := func() pair { return pool[rng.Intn(len(pool))] }
-	for i := 0; i < 400; i++ {
-		a, b := pick(), pick()
-		var p pair
-		switch rng.Intn(6) {
-		case 0:
-			p = pair{nm.And(a.n, b.n), lm.And(a.l, b.l)}
-		case 1:
-			p = pair{nm.Or(a.n, b.n), lm.Or(a.l, b.l)}
-		case 2:
-			p = pair{nm.Xor(a.n, b.n), lm.Xor(a.l, b.l)}
-		case 3:
-			p = pair{nm.Not(a.n), lm.Not(a.l)}
-		case 4:
-			p = pair{nm.Implies(a.n, b.n), lm.Implies(a.l, b.l)}
-		case 5:
-			c := pick()
-			p = pair{nm.Ite(a.n, b.n, c.n), lm.Ite(a.l, b.l, c.l)}
-		}
-		pool = append(pool, p)
-	}
-
-	assign := make([]bool, bits)
-	for mask := 0; mask < 1<<bits; mask++ {
-		for b := 0; b < bits; b++ {
-			assign[b] = mask&(1<<b) != 0
-		}
-		for i, p := range pool {
-			if nm.Eval(p.n, assign) != lm.Eval(p.l, assign) {
-				t.Fatalf("op %d: kernels disagree under assignment %0*b", i, bits, mask)
+	// check pins r to the function want: equal under every assignment
+	// and in SatCount, and — by canonicity — the one Ref for it.
+	canon := map[truthTable]Ref{}
+	check := func(what string, r Ref, want truthTable) {
+		t.Helper()
+		assign, count := make([]bool, ttBits), 0.0
+		for a, v := range want {
+			for b := range assign {
+				assign[b] = a&(1<<b) != 0
+			}
+			if m.Eval(r, assign) != v {
+				t.Fatalf("%s: Eval under assignment %0*b = %v, truth table says %v", what, ttBits, a, !v, v)
+			}
+			if v {
+				count++
 			}
 		}
+		if got := m.SatCount(r); got != count {
+			t.Fatalf("%s: SatCount = %g, truth table has %g", what, got, count)
+		}
+		if prev, ok := canon[want]; ok && prev != r {
+			t.Fatalf("%s: function already interned as ref %d, got ref %d", what, prev, r)
+		}
+		canon[want] = r
+	}
+
+	type entry struct {
+		r  Ref
+		tt truthTable
+	}
+	pool := []entry{{False, truthTable{}}, {True, ttFrom(func(int) bool { return true })}}
+	for v := 0; v < ttBits; v++ {
+		pool = append(pool, entry{m.Var(v), ttFrom(func(a int) bool { return a&(1<<v) != 0 })})
+	}
+	ops := []struct {
+		name string
+		bdd  func(x, y, z Ref) Ref
+		tt   func(x, y, z bool) bool
+	}{
+		{"And", func(x, y, _ Ref) Ref { return m.And(x, y) }, func(x, y, _ bool) bool { return x && y }},
+		{"Or", func(x, y, _ Ref) Ref { return m.Or(x, y) }, func(x, y, _ bool) bool { return x || y }},
+		{"Xor", func(x, y, _ Ref) Ref { return m.Xor(x, y) }, func(x, y, _ bool) bool { return x != y }},
+		{"Not", func(x, _, _ Ref) Ref { return m.Not(x) }, func(x, _, _ bool) bool { return !x }},
+		{"Implies", func(x, y, _ Ref) Ref { return m.Implies(x, y) }, func(x, y, _ bool) bool { return !x || y }},
+		{"Ite", m.Ite, func(x, y, z bool) bool { return x && y || !x && z }},
+	}
+	pick := func() entry { return pool[rng.Intn(len(pool))] }
+	for i := 0; i < 400; i++ {
+		op, x, y, z := ops[rng.Intn(len(ops))], pick(), pick(), pick()
+		e := entry{op.bdd(x.r, y.r, z.r), ttFrom(func(a int) bool { return op.tt(x.tt[a], y.tt[a], z.tt[a]) })}
+		check(fmt.Sprintf("op %d (%s)", i, op.name), e.r, e.tt)
+		pool = append(pool, e)
+	}
+
+	// Quantification and (monotone) renaming images of every pool BDD.
+	// Two variable sets over the same operand catch a computed table
+	// that confuses sets.
+	evens, odds, shift := map[int]bool{}, map[int]bool{}, map[int]int{}
+	for v := 0; v < ttBits; v += 2 {
+		evens[v], odds[v+1], shift[v] = true, true, v+1
 	}
 	for i, p := range pool {
-		if nm.SatCount(p.n) != lm.SatCount(p.l) {
-			t.Fatalf("op %d: SatCount disagrees (%g vs %g)", i, nm.SatCount(p.n), lm.SatCount(p.l))
-		}
-	}
-
-	// Quantification and (monotone) renaming on a sample of the pool.
-	evens := map[int]bool{}
-	shift := map[int]int{}
-	for v := 0; v < bits; v += 2 {
-		evens[v] = true
-		shift[v] = v + 1
-	}
-	for i := 0; i < 50; i++ {
-		p := pool[rng.Intn(len(pool))]
-		ne, le := nm.Exists(p.n, evens), lm.Exists(p.l, evens)
-		for mask := 0; mask < 1<<bits; mask++ {
-			for b := 0; b < bits; b++ {
-				assign[b] = mask&(1<<b) != 0
-			}
-			if nm.Eval(ne, assign) != lm.Eval(le, assign) {
-				t.Fatalf("Exists disagrees on pool[%d]", i)
-			}
-		}
-		q := pool[rng.Intn(len(pool))]
-		nae, lae := nm.AndExists(p.n, q.n, evens), lm.AndExists(p.l, q.l, evens)
-		if nm.SatCount(nae) != lm.SatCount(lae) {
-			t.Fatalf("AndExists SatCount disagrees on pool[%d]", i)
-		}
-		// Renaming evens up by one is monotone only for BDDs not using
-		// the odd levels; project them away first.
-		odds := map[int]bool{}
-		for v := 1; v < bits; v += 2 {
-			odds[v] = true
-		}
-		pn, pl := nm.Exists(p.n, odds), lm.Exists(p.l, odds)
-		rn, rl := nm.Rename(pn, shift), lm.Rename(pl, shift)
-		if nm.SatCount(rn) != lm.SatCount(rl) {
-			t.Fatalf("Rename SatCount disagrees on pool[%d]", i)
-		}
+		q := pick()
+		and := ttFrom(func(a int) bool { return p.tt[a] && q.tt[a] })
+		check(fmt.Sprintf("Exists(pool[%d], evens)", i), m.Exists(p.r, evens), ttExists(p.tt, evens))
+		check(fmt.Sprintf("AndExists(pool[%d], q, evens)", i), m.AndExists(p.r, q.r, evens), ttExists(and, evens))
+		// Renaming evens up by one is monotone only over BDDs without
+		// odd levels, so rename the odds-projected image.
+		po := m.Exists(p.r, odds)
+		check(fmt.Sprintf("Exists(pool[%d], odds)", i), po, ttExists(p.tt, odds))
+		check(fmt.Sprintf("Rename(pool[%d])", i), m.Rename(po, shift), ttRename(ttExists(p.tt, odds), shift))
 	}
 }
 

@@ -212,15 +212,6 @@ func (c *Client) Analyze(ctx context.Context, req api.AnalyzeRequest) (*api.Job,
 	return c.postJob(ctx, "/v1/analyze", req)
 }
 
-// Batch submits many analyses as one job with the same resilience
-// stack as Analyze.
-func (c *Client) Batch(ctx context.Context, req api.BatchRequest) (*api.Job, error) {
-	if req.IdempotencyKey == "" {
-		req.IdempotencyKey = newIdemKey()
-	}
-	return c.postJob(ctx, "/v1/batch", req)
-}
-
 // ForwardRaw relays a pre-encoded analyze or batch body to this
 // client's daemon with the forwarded-hop marker set, pinning the trace
 // ID so the receiving node logs under the originating request's trace.

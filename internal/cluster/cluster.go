@@ -149,9 +149,6 @@ func (e errSelfNotMember) Error() string {
 // Self returns this node's advertised URL.
 func (c *Cluster) Self() string { return c.self }
 
-// Ring exposes the ownership ring (for status endpoints and tests).
-func (c *Cluster) Ring() *Ring { return c.ring }
-
 // Owner returns the node owning key.
 func (c *Cluster) Owner(key string) string { return c.ring.Owner(key) }
 

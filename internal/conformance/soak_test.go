@@ -3,46 +3,21 @@ package conformance
 import (
 	"math/rand"
 	"testing"
-
-	"github.com/soteria-analysis/soteria/internal/bdd"
-	"github.com/soteria-analysis/soteria/internal/symbolic"
 )
 
 // TestSoakNewKernelDifferential is the differential soak for the
-// open-addressed BDD kernel rewrite: 200 seeded generated models run
-// through the conformance oracle with the BDD engine enabled (explicit
-// fixpoint vs the symbolic engine over the new kernel), and the same
-// symbolic workload repeated over the retained legacy map-based kernel
-// — three independent deciders per case, all required to agree on the
-// verdict and the full satisfaction set.
+// open-addressed BDD kernel: 200 seeded generated models run through
+// the conformance oracle with the BDD engine enabled, so the explicit
+// fixpoint and the symbolic engine must agree on the verdict and the
+// full satisfaction set of every case.
 func TestSoakNewKernelDifferential(t *testing.T) {
 	const cases = 200
 	rng := rand.New(rand.NewSource(0xB00))
 	cfg := DefaultGenConfig()
 	for i := 0; i < cases; i++ {
 		c := GenCase(rng, cfg, i)
-
-		// Explicit vs new-kernel symbolic (plus replay/round-trips).
 		if m := CheckCase(c, EngineSet{BDD: true}); m != nil {
 			t.Fatalf("case %d: %v", i, m)
-		}
-
-		// Same workload over the legacy kernel. CheckCase has already
-		// pinned the new kernel to the explicit reference, so agreeing
-		// with either closes the triangle.
-		ref := symbolic.New(c.K).Check(c.F)
-		leg := symbolic.NewWithKernel(c.K, nil, func(n int) bdd.Kernel {
-			return bdd.NewLegacy(n)
-		}).Check(c.F)
-		if leg.Holds != ref.Holds {
-			t.Fatalf("case %d: legacy kernel verdict %v, new kernel %v\nformula: %s\nreproducer:\n%s",
-				i, leg.Holds, ref.Holds, c.F.String(), c.Spec.String())
-		}
-		for s := 0; s < c.K.N; s++ {
-			if leg.Sat[s] != ref.Sat[s] {
-				t.Fatalf("case %d: state %d: legacy Sat=%v, new Sat=%v\nformula: %s\nreproducer:\n%s",
-					i, s, leg.Sat[s], ref.Sat[s], c.F.String(), c.Spec.String())
-			}
 		}
 	}
 }

@@ -478,7 +478,8 @@ func AblationPredicateLabels() (*report.Table, error) {
 			}
 			k := kripke.FromModel(m)
 			vs := properties.CheckGeneral(m)
-			vs = append(vs, properties.CheckAppSpecific(m, k)...)
+			sweep := properties.CheckAppSpecificOpts(m, properties.ExplicitChecker(k), properties.SweepOptions{})
+			vs = append(vs, sweep.Violations...)
 			return len(vs), nil
 		}
 		full, err := count(statemodel.Options{})

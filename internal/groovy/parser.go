@@ -56,16 +56,6 @@ func Parse(name, src string) (*File, error) {
 	return f, nil
 }
 
-// MustParse is Parse but panics on error; intended for embedding known-
-// good corpus sources and for tests.
-func MustParse(name, src string) *File {
-	f, err := Parse(name, src)
-	if err != nil {
-		panic(fmt.Sprintf("groovy.MustParse(%s): %v", name, err))
-	}
-	return f
-}
-
 // ParseExpr parses a single expression (used for GString interpolation
 // parts and for tests).
 func ParseExpr(src string) (Expr, error) {

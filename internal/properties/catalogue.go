@@ -596,18 +596,8 @@ type AppSpecificReport struct {
 	Incomplete bool
 }
 
-// CheckAppSpecificWith sweeps the whole catalogue sequentially,
-// deciding each applicable variant's formula with check. A variant
-// failure is contained: the property is marked undecided and the sweep
-// continues, so the report still carries verdicts for every other
-// property. See CheckAppSpecificOpts for property filtering and
-// parallel dispatch.
-func CheckAppSpecificWith(m *statemodel.Model, check PropertyChecker) AppSpecificReport {
-	return CheckAppSpecificOpts(m, check, SweepOptions{})
-}
-
 // ExplicitChecker returns an unbudgeted PropertyChecker backed by the
-// explicit-state engine — the legacy single-engine behavior.
+// explicit-state engine.
 func ExplicitChecker(k *kripke.Structure) PropertyChecker {
 	return func(propID string, f ctl.Formula) PropertyOutcome {
 		r := modelcheck.Check(k, f)
@@ -617,11 +607,4 @@ func ExplicitChecker(k *kripke.Structure) PropertyChecker {
 		}
 		return out
 	}
-}
-
-// CheckAppSpecific verifies every applicable catalogue property on the
-// model with the explicit-state model checker and returns the
-// violations found.
-func CheckAppSpecific(m *statemodel.Model, k *kripke.Structure) []Violation {
-	return CheckAppSpecificWith(m, ExplicitChecker(k)).Violations
 }

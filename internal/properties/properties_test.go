@@ -258,7 +258,7 @@ func checkApp(t *testing.T, srcs ...[2]string) []Violation {
 	t.Helper()
 	m := modelOf(t, srcs...)
 	k := kripke.FromModel(m)
-	return CheckAppSpecific(m, k)
+	return CheckAppSpecificOpts(m, ExplicitChecker(k), SweepOptions{}).Violations
 }
 
 func TestP30WaterLeakHolds(t *testing.T) {

@@ -71,15 +71,15 @@ func DeviceEvent(varKey, value string) Event {
 	return Event{VarKey: varKey, Value: value, Kind: ir.DeviceEvent}
 }
 
-// NewSyntheticCollapse builds the d²-state scaling-benchmark model
-// used by `soteria-bench -bdd-bench`: two variables with d values
-// each, every product state present, and a "collapse" transition
-// s → ⌊s/2⌋ from every non-zero state (state s is the assignment
-// (s/d, s%d)). Every state reaches state 0, and backward-reachability
-// fixpoints converge in ~log₂(d²) iterations — so the symbolic engine
-// is exercised at 10³–10⁶ states without the fixpoint's iteration
-// count growing linearly in the state count. State 0 deadlocks and
-// picks up the Kripke translation's stutter self-loop.
+// NewSyntheticCollapse builds a d²-state model for the explicit-vs-BDD
+// engine agreement test (internal/symbolic): two variables with d
+// values each, every product state present, and a "collapse"
+// transition s → ⌊s/2⌋ from every non-zero state (state s is the
+// assignment (s/d, s%d)). Every state reaches state 0, and
+// backward-reachability fixpoints converge in ~log₂(d²) iterations —
+// so both engines run at 10³–10⁴ states without the fixpoint's
+// iteration count growing linearly in the state count. State 0
+// deadlocks and picks up the Kripke translation's stutter self-loop.
 func NewSyntheticCollapse(d int) (*Model, error) {
 	if d < 2 {
 		return nil, fmt.Errorf("statemodel: collapse model needs a domain of at least 2, got %d", d)

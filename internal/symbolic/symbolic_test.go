@@ -1,6 +1,7 @@
 package symbolic
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -30,16 +31,21 @@ func TestAgainstExplicitOnSmallStructure(t *testing.T) {
 		`E["a" U "goal"]`, `A["a" U "goal"]`, `EX "a"`, `AX "a"`,
 		`AG ("a" | "goal")`, `!EF ("a" & "goal")`,
 	} {
-		f := ctl.MustParse(src)
-		exp := modelcheck.Check(k, f)
-		sym := e.Check(f)
-		for s := 0; s < k.N; s++ {
-			if exp.Sat[s] != sym.Sat[s] {
-				t.Errorf("%s at state %d: explicit=%t symbolic=%t", src, s, exp.Sat[s], sym.Sat[s])
-			}
-		}
-		if exp.Holds != sym.Holds {
-			t.Errorf("%s: Holds explicit=%t symbolic=%t", src, exp.Holds, sym.Holds)
+		requireAgree(t, "4-state structure", e, ctl.MustParse(src))
+	}
+}
+
+// requireAgree fails t unless the explicit engine and e give f the same
+// verdict and the same per-state satisfaction set.
+func requireAgree(t *testing.T, what string, e *Engine, f ctl.Formula) {
+	t.Helper()
+	exp, sym := modelcheck.Check(e.K, f), e.Check(f)
+	if exp.Holds != sym.Holds {
+		t.Fatalf("%s: %s Holds explicit=%t symbolic=%t", what, f, exp.Holds, sym.Holds)
+	}
+	for s := range exp.Sat {
+		if exp.Sat[s] != sym.Sat[s] {
+			t.Fatalf("%s: %s at state %d: explicit=%t symbolic=%t", what, f, s, exp.Sat[s], sym.Sat[s])
 		}
 	}
 }
@@ -75,14 +81,7 @@ func TestRandomStructuresAgree(t *testing.T) {
 		}
 		e := New(k)
 		for _, f := range formulas {
-			exp := modelcheck.Check(k, f)
-			sym := e.Check(f)
-			for s := 0; s < n; s++ {
-				if exp.Sat[s] != sym.Sat[s] {
-					t.Fatalf("trial %d, %s, state %d: explicit=%t symbolic=%t",
-						trial, f, s, exp.Sat[s], sym.Sat[s])
-				}
-			}
+			requireAgree(t, fmt.Sprintf("trial %d", trial), e, f)
 		}
 	}
 }
@@ -115,7 +114,26 @@ func TestNodeCountReported(t *testing.T) {
 	k.AddEdge(1, 2, "")
 	k.AddEdge(2, 2, "")
 	e := New(k)
-	if e.NodeCount() <= 2 {
+	if e.KernelStats().Nodes <= 2 {
 		t.Error("node count should exceed terminals")
+	}
+}
+
+// TestCollapseModelEnginesAgree runs both engines over synthetic
+// collapse models of 10³ and 10⁴ states: a backward-reachability
+// fixpoint that every state satisfies must get the same verdict and
+// the same per-state satisfaction set from each.
+func TestCollapseModelEnginesAgree(t *testing.T) {
+	f := ctl.EF{X: ctl.And{L: ctl.Prop{Name: "dev0.attr=v0"}, R: ctl.Prop{Name: "dev1.attr=v0"}}}
+	for _, d := range []int{32, 100} {
+		m, err := statemodel.NewSyntheticCollapse(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := kripke.FromModel(m)
+		if !modelcheck.Check(k, f).Holds {
+			t.Fatalf("d=%d: explicit engine says %s fails, but every state collapses to state 0", d, f)
+		}
+		requireAgree(t, fmt.Sprintf("d=%d", d), New(k), f)
 	}
 }

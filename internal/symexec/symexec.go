@@ -157,9 +157,6 @@ type Action struct {
 	Pos       groovy.Pos
 }
 
-// Key identifies the attribute the action writes.
-func (a Action) Key() string { return a.Handle + "." + a.Attr }
-
 func (a Action) String() string {
 	return fmt.Sprintf("%s.%s:=%s", a.Handle, a.Attr, a.Value)
 }
