@@ -159,20 +159,21 @@ func TestRehashKeepsRefsCanonical(t *testing.T) {
 func TestComputedTableEviction(t *testing.T) {
 	const bits = 10
 	m := New(bits)
-	rng := rand.New(rand.NewSource(42))
+	var pool []Ref
+	var ops [][3]int // pool indices of each Ite's operands
 	build := func() []Ref {
-		rng = rand.New(rand.NewSource(42))
+		rng := rand.New(rand.NewSource(42))
 		out := make([]Ref, 0, 512)
-		pool := []Ref{True, False}
+		pool = []Ref{True, False}
 		for v := 0; v < bits; v++ {
 			pool = append(pool, m.Var(v))
 		}
+		ops = ops[:0]
 		for i := 0; i < 512; i++ {
-			f := pool[rng.Intn(len(pool))]
-			g := pool[rng.Intn(len(pool))]
-			h := pool[rng.Intn(len(pool))]
-			r := m.Ite(f, g, h)
+			op := [3]int{rng.Intn(len(pool)), rng.Intn(len(pool)), rng.Intn(len(pool))}
+			r := m.Ite(pool[op[0]], pool[op[1]], pool[op[2]])
 			pool = append(pool, r)
+			ops = append(ops, op)
 			out = append(out, r)
 		}
 		return out
@@ -191,17 +192,30 @@ func TestComputedTableEviction(t *testing.T) {
 			t.Fatalf("op %d: lossy computed table broke canonicity (%d vs %d)", i, first[i], second[i])
 		}
 	}
-	// Spot-check semantics against Eval on full random assignments.
-	for trial := 0; trial < 64; trial++ {
-		assign := make([]bool, bits)
-		for b := range assign {
-			assign[b] = rng.Intn(2) == 1
+	// Semantics: under every assignment a, each built ref must equal
+	// Ite's definition f(a) ? g(a) : h(a) over its recorded operands.
+	// The operands are earlier refs checked the same way, down to the
+	// constants and variables, so this pins every result the lossy
+	// cache handed out.
+	assign := make([]bool, bits)
+	for a := 0; a < 1<<bits; a++ {
+		for v := range assign {
+			assign[v] = a>>v&1 == 1
 		}
-		r := first[rng.Intn(len(first))]
-		got := m.Eval(r, assign)
-		// Recompute through fresh operations (cache state now differs).
-		if m.Eval(r, assign) != got {
-			t.Fatal("Eval not deterministic")
+		for v := 0; v < bits; v++ {
+			if m.Eval(pool[2+v], assign) != assign[v] {
+				t.Fatalf("Var(%d) under assignment %0*b = %t", v, bits, a, !assign[v])
+			}
+		}
+		for i, op := range ops {
+			want := m.Eval(pool[op[2]], assign)
+			if m.Eval(pool[op[0]], assign) {
+				want = m.Eval(pool[op[1]], assign)
+			}
+			if got := m.Eval(first[i], assign); got != want {
+				t.Fatalf("op %d: Ite(pool[%d], pool[%d], pool[%d]) under assignment %0*b = %t, want %t",
+					i, op[0], op[1], op[2], bits, a, got, want)
+			}
 		}
 	}
 }

@@ -29,17 +29,11 @@ type Result struct {
 	Depth int
 }
 
-// CheckAGProp bounded-checks AG p where p is the set of states
+// CheckAGPropBudget bounded-checks AG p where p is the set of states
 // satisfying the property: it searches for a path of length ≤ bound
-// from an initial state to a ¬p state.
-func CheckAGProp(k *kripke.Structure, good func(s int) bool, bound int) *Result {
-	return CheckAGPropBudget(k, good, bound, nil)
-}
-
-// CheckAGPropBudget is CheckAGProp under a resource budget: the
-// deadline is checked before each unrolling depth and the underlying
-// SAT solver charges conflicts against the budget. A nil budget
-// disables all checks.
+// from an initial state to a ¬p state. The budget's deadline is
+// checked before each unrolling depth and the underlying SAT solver
+// charges conflicts against it. A nil budget disables all checks.
 func CheckAGPropBudget(k *kripke.Structure, good func(s int) bool, bound int, b *guard.Budget) *Result {
 	for depth := 0; depth <= bound; depth++ {
 		b.Check("bmc")

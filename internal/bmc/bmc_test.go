@@ -18,7 +18,7 @@ func TestFindsShortestCounterexample(t *testing.T) {
 	k.AddEdge(0, 1, "")
 	k.AddEdge(1, 2, "")
 	k.AddEdge(2, 2, "")
-	r := CheckAGProp(k, func(s int) bool { return s != 2 }, 10)
+	r := CheckAGPropBudget(k, func(s int) bool { return s != 2 }, 10, nil)
 	if !r.Violated {
 		t.Fatal("should find violation")
 	}
@@ -45,7 +45,7 @@ func TestNoViolationWithinBound(t *testing.T) {
 	k.AddEdge(0, 1, "")
 	k.AddEdge(1, 0, "")
 	k.AddEdge(2, 2, "") // bad state unreachable
-	r := CheckAGProp(k, func(s int) bool { return s != 2 }, 8)
+	r := CheckAGPropBudget(k, func(s int) bool { return s != 2 }, 8, nil)
 	if r.Violated {
 		t.Errorf("unexpected violation: %+v", r)
 	}
@@ -59,7 +59,7 @@ func TestUnreachableBadState(t *testing.T) {
 	k.AddEdge(1, 1, "")
 	k.AddEdge(2, 3, "")
 	k.AddEdge(3, 3, "")
-	r := CheckAGProp(k, func(s int) bool { return s != 3 }, 10)
+	r := CheckAGPropBudget(k, func(s int) bool { return s != 3 }, 10, nil)
 	if r.Violated {
 		t.Error("state 3 is unreachable from 0")
 	}

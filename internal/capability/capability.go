@@ -13,7 +13,6 @@ package capability
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -131,25 +130,6 @@ func (c *Capability) PrimaryAttribute() *Attribute {
 	return &c.Attributes[0]
 }
 
-// StateCount returns the number of model states a single device of
-// this capability contributes before numeric abstraction: the product
-// of its enum attribute domain sizes (numeric attributes count per
-// numericStates, the pre-abstraction discretisation the paper uses to
-// illustrate state explosion, e.g. 45 thermostat setpoints, 100
-// battery levels).
-func (c *Capability) StateCount(numericStates int) int {
-	n := 1
-	for _, a := range c.Attributes {
-		switch a.Kind {
-		case Enum:
-			n *= len(a.Values)
-		case Numeric:
-			n *= numericStates
-		}
-	}
-	return n
-}
-
 // pair builds the complement map for a two-valued attribute.
 func pair(a, b string) map[string]string {
 	return map[string]string{a: b, b: a}
@@ -224,31 +204,6 @@ func IsUserInputType(t string) bool {
 		return true
 	}
 	return false
-}
-
-// Names returns all canonical capability names in sorted order.
-func Names() []string {
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// AttributeOwner returns the capability that defines the given
-// attribute name, used when parsing subscriptions like
-// subscribe(dev, "water.wet", h) where only the attribute is named.
-// If several capabilities define the attribute the first in canonical
-// name order is returned.
-func AttributeOwner(attr string) (*Capability, bool) {
-	for _, n := range Names() {
-		c := registry[n]
-		if _, ok := c.Attribute(attr); ok {
-			return c, true
-		}
-	}
-	return nil, false
 }
 
 func init() {

@@ -1,9 +1,6 @@
 package capability
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestLookupKnownCapabilities(t *testing.T) {
 	for _, name := range []string{
@@ -108,8 +105,7 @@ func TestComplements(t *testing.T) {
 func TestComplementIsInvolution(t *testing.T) {
 	// Property: complement(complement(v)) == v for every enum value
 	// that has a complement.
-	for _, name := range Names() {
-		c, _ := Lookup(name)
+	for name, c := range registry {
 		for _, a := range c.Attributes {
 			for v, cv := range a.Complements {
 				back, ok := a.Complement(cv)
@@ -122,8 +118,7 @@ func TestComplementIsInvolution(t *testing.T) {
 }
 
 func TestEnumValuesAreDistinct(t *testing.T) {
-	for _, name := range Names() {
-		c, _ := Lookup(name)
+	for name, c := range registry {
 		for _, a := range c.Attributes {
 			seen := map[string]bool{}
 			for _, v := range a.Values {
@@ -139,8 +134,7 @@ func TestEnumValuesAreDistinct(t *testing.T) {
 func TestEffectsReferenceDeclaredAttributes(t *testing.T) {
 	// Every command effect must target a declared attribute with a
 	// value in its domain; every ArgAttr must be a declared attribute.
-	for _, name := range Names() {
-		c, _ := Lookup(name)
+	for name, c := range registry {
 		for _, cmd := range c.Commands {
 			if cmd.ArgAttr != "" {
 				if _, ok := c.Attribute(cmd.ArgAttr); !ok {
@@ -161,67 +155,15 @@ func TestEffectsReferenceDeclaredAttributes(t *testing.T) {
 	}
 }
 
-func TestAttributeOwner(t *testing.T) {
-	cases := map[string]string{
-		"water":  "waterSensor",
-		"smoke":  "smokeDetector",
-		"motion": "motionSensor",
-		"power":  "powerMeter",
-		"mode":   "location",
-	}
-	for attr, wantCap := range cases {
-		c, ok := AttributeOwner(attr)
-		if !ok || c.Name != wantCap {
-			t.Errorf("AttributeOwner(%q) = %v, want %s", attr, c, wantCap)
-		}
-	}
-	if _, ok := AttributeOwner("nonexistent"); ok {
-		t.Error("unexpected owner for nonexistent attribute")
-	}
-}
-
-func TestStateCount(t *testing.T) {
-	// The paper's example (§4.2.1): a thermostat with 45 setpoint
-	// values and a power meter with 100 energy levels yields 4.5K
-	// states. Our thermostat has mode(4) × heating × cooling ×
-	// temperature numeric attributes; with 45 numeric states it is
-	// 4*45^3. Check the simple cases exactly.
-	sw, _ := Lookup("switch")
-	if n := sw.StateCount(10); n != 2 {
-		t.Errorf("switch states = %d, want 2", n)
-	}
-	b, _ := Lookup("battery")
-	if n := b.StateCount(100); n != 100 {
-		t.Errorf("battery states = %d, want 100", n)
-	}
-	pm, _ := Lookup("powerMeter")
-	wl, _ := Lookup("waterSensor")
-	if n := pm.StateCount(100) * wl.StateCount(100); n != 200 {
-		t.Errorf("powerMeter×waterSensor = %d, want 200", n)
-	}
-}
-
-func TestStateCountPositiveProperty(t *testing.T) {
-	// Property: StateCount is ≥ 1 for any capability and any positive
-	// numeric discretisation.
-	names := Names()
-	f := func(i uint8, n uint8) bool {
-		c, _ := Lookup(names[int(i)%len(names)])
-		return c.StateCount(int(n%50)+1) >= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
+// TestNamesSortedAndComplete pins the registry's size and that every
+// entry is keyed by its canonical name.
 func TestNamesSortedAndComplete(t *testing.T) {
-	names := Names()
-	if len(names) < 20 {
-		t.Errorf("registry has only %d capabilities", len(names))
+	if len(registry) < 20 {
+		t.Errorf("registry has only %d capabilities", len(registry))
 	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Errorf("names not sorted at %d: %q >= %q", i, names[i-1], names[i])
+	for name, c := range registry {
+		if c.Name != name {
+			t.Errorf("registry key %q holds capability %q", name, c.Name)
 		}
 	}
 }

@@ -1,8 +1,9 @@
 // Package core is the Soteria analyzer pipeline (paper Fig. 3/10):
 // source → IR → state model → Kripke structure → property checking.
 // It ties the substrates together for single apps and multi-app
-// environments and records per-stage timings for the §6.3
-// micro-benchmarks.
+// environments. When the context carries an obs span, each stage
+// (IR, state model, Kripke, each check) records a child span with its
+// sizes; that span tree is the pipeline's one timing mechanism.
 package core
 
 import (

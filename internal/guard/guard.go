@@ -55,12 +55,6 @@ type Limits struct {
 	MaxFormulaDepth int
 }
 
-// Unlimited reports whether no limit is set.
-func (l Limits) Unlimited() bool {
-	return l.Timeout == 0 && l.MaxStates == 0 && l.MaxBDDNodes == 0 &&
-		l.MaxSATConflicts == 0 && l.MaxFormulaDepth == 0
-}
-
 // Budget tracks resource consumption against Limits. All methods are
 // safe on a nil receiver (no-ops), so budget plumbing can pass nil to
 // mean "unbudgeted", and safe for concurrent use by multiple
@@ -97,14 +91,6 @@ func New(ctx context.Context, lim Limits) *Budget {
 		b.hasDeadline = true
 	}
 	return b
-}
-
-// Limits returns the configured limits (zero value for nil budgets).
-func (b *Budget) Limits() Limits {
-	if b == nil {
-		return Limits{}
-	}
-	return b.lim
 }
 
 // Check verifies the wall-clock deadline and context immediately
@@ -192,15 +178,6 @@ func (b *Budget) Spent() (states, bddNodes, satConflicts int64) {
 		return 0, 0, 0
 	}
 	return b.states.Load(), b.bddNodes.Load(), b.satConflicts.Load()
-}
-
-// FormulaDepth returns the configured parser nesting limit (0 when
-// unbudgeted or unset).
-func (b *Budget) FormulaDepth() int {
-	if b == nil {
-		return 0
-	}
-	return b.lim.MaxFormulaDepth
 }
 
 // ---------------------------------------------------------------------------

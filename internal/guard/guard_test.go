@@ -16,12 +16,6 @@ func TestNilBudgetIsNoop(t *testing.T) {
 	b.States(1<<30, "x")
 	b.BDDNodes(1<<30, "x")
 	b.SATConflicts(1<<30, "x")
-	if b.FormulaDepth() != 0 {
-		t.Error("nil budget should have no formula depth limit")
-	}
-	if !b.Limits().Unlimited() {
-		t.Error("nil budget limits should be unlimited")
-	}
 }
 
 func TestBudgetStates(t *testing.T) {

@@ -227,16 +227,6 @@ func (a *App) Capabilities() []string {
 	return out
 }
 
-// HasCapability reports whether any device permission grants cap.
-func (a *App) HasCapability(cap string) bool {
-	for _, p := range a.Devices() {
-		if p.Cap != nil && p.Cap.Name == cap {
-			return true
-		}
-	}
-	return false
-}
-
 // SubscribesToMode reports whether the app subscribes to location mode
 // changes (directly or by changing location mode itself).
 func (a *App) SubscribesToMode() bool {
@@ -248,9 +238,10 @@ func (a *App) SubscribesToMode() bool {
 	return false
 }
 
-// lifecycleMethods are SmartThings-managed methods that are not event
-// handlers themselves.
-var lifecycleMethods = map[string]bool{
+// LifecycleMethods are SmartThings-managed methods that are not event
+// handlers themselves: the platform calls them at install, update and
+// removal time.
+var LifecycleMethods = map[string]bool{
 	"installed": true, "updated": true, "initialize": true,
 	"uninstalled": true,
 }

@@ -282,9 +282,6 @@ func TestCapabilitiesAndHasCapability(t *testing.T) {
 			t.Errorf("caps[%d] = %s, want %s", i, caps[i], want[i])
 		}
 	}
-	if !app.HasCapability("lock") || app.HasCapability("valve") {
-		t.Error("HasCapability wrong")
-	}
 }
 
 func TestUndeclaredDeviceWarning(t *testing.T) {

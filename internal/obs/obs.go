@@ -5,9 +5,9 @@
 // helpers for request correlation, and an exposition-format validator
 // used by tests and the smoke script.
 //
-// Everything here is built for a hot pipeline: a nil *Span (and a nil
-// *Tracer) is valid and every method on it is a no-op, so uninstrumented
-// runs pay only a context lookup. Histograms are lock-free atomics.
+// Everything here is built for a hot pipeline: a nil *Span is valid
+// and every method on it is a no-op, so uninstrumented runs pay only a
+// context lookup. Histograms are lock-free atomics.
 package obs
 
 import (
@@ -19,19 +19,6 @@ import (
 	"sync"
 	"time"
 )
-
-// Tracer mints root spans. A nil *Tracer is disabled: Root returns a
-// nil span and the entire instrumented pipeline degrades to no-ops.
-// The zero value is enabled.
-type Tracer struct{}
-
-// Root starts a new root span, or returns nil when the tracer is nil.
-func (t *Tracer) Root(name string) *Span {
-	if t == nil {
-		return nil
-	}
-	return NewRoot(name)
-}
 
 // Attr is one key/value annotation on a span. Values are strings;
 // integer annotations are formatted in decimal (see Span.SetInt).

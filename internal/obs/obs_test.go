@@ -26,16 +26,6 @@ func TestNilSpanIsSafe(t *testing.T) {
 	s.Walk(func(int, *Span) { t.Fatalf("nil span walked") })
 }
 
-func TestNilTracerMintsNilSpans(t *testing.T) {
-	var tr *Tracer
-	if tr.Root("job") != nil {
-		t.Fatalf("nil tracer minted a span")
-	}
-	if (&Tracer{}).Root("job") == nil {
-		t.Fatalf("enabled tracer minted nil")
-	}
-}
-
 func TestSpanTreeAndAttrs(t *testing.T) {
 	root := NewRoot("job")
 	item := root.StartChild("item")

@@ -324,27 +324,9 @@ func Feasible(c Cond) bool {
 	return true
 }
 
-// Contradicts reports whether c ∧ d is infeasible — used for merging
-// decisions and transition labeling.
-func Contradicts(c, d Cond) bool { return !Feasible(c.And(d)) }
-
 // Implies reports whether c logically implies atom a under the
 // checker's fragment: it holds when c ∧ ¬a is infeasible.
 func Implies(c Cond, a Atom) bool { return !Feasible(c.WithAtom(a.Negated())) }
-
-// Vars returns the sorted set of variables mentioned in the atoms.
-func (c Cond) Vars() []string {
-	set := map[string]bool{}
-	for _, a := range c.Atoms {
-		set[a.Var] = true
-	}
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Canonical returns a deterministic rendering with atoms sorted and
 // duplicates removed; used to deduplicate path conditions (and to

@@ -157,10 +157,10 @@ func TestImplies(t *testing.T) {
 func TestContradicts(t *testing.T) {
 	a := True().WithAtom(str("mode", EQ, "home"))
 	b := True().WithAtom(str("mode", EQ, "away"))
-	if !Contradicts(a, b) {
+	if Feasible(a.And(b)) {
 		t.Error("mode==home contradicts mode==away")
 	}
-	if Contradicts(a, a) {
+	if !Feasible(a.And(a)) {
 		t.Error("a condition does not contradict itself")
 	}
 }
@@ -170,14 +170,6 @@ func TestCanonicalDeterministic(t *testing.T) {
 	c2 := Cond{Atoms: []Atom{str("m", EQ, "home"), num("x", GT, 1)}}
 	if c1.Canonical() != c2.Canonical() {
 		t.Errorf("canonical forms differ: %q vs %q", c1.Canonical(), c2.Canonical())
-	}
-}
-
-func TestVars(t *testing.T) {
-	c := Cond{Atoms: []Atom{num("x", GT, 1), str("m", EQ, "home"), num("x", LT, 9)}}
-	vars := c.Vars()
-	if len(vars) != 2 || vars[0] != "m" || vars[1] != "x" {
-		t.Errorf("vars = %v", vars)
 	}
 }
 

@@ -549,16 +549,6 @@ func Catalogue() []AppProperty {
 	}
 }
 
-// PropertyByID returns the catalogue entry with the given ID.
-func PropertyByID(id string) (AppProperty, bool) {
-	for _, p := range Catalogue() {
-		if p.ID == id {
-			return p, true
-		}
-	}
-	return AppProperty{}, false
-}
-
 // PropertyOutcome is the verdict of one catalogue formula under a
 // pluggable checker: either a decision (Holds plus counterexample
 // material) or a failure (Err non-nil, property undecided). The

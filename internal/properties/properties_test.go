@@ -402,12 +402,6 @@ func TestCatalogueComplete(t *testing.T) {
 			}
 		}
 	}
-	if _, ok := PropertyByID("P.17"); !ok {
-		t.Error("PropertyByID failed")
-	}
-	if _, ok := PropertyByID("P.99"); ok {
-		t.Error("PropertyByID should fail for unknown")
-	}
 }
 
 func itoa(n int) string {

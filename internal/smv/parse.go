@@ -2,7 +2,6 @@ package smv
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -358,16 +357,4 @@ func renderConjuncts(as []Assign) string {
 		parts[i] = lhs + " = " + a.Value
 	}
 	return strings.Join(parts, " & ")
-}
-
-// SortedEventValues returns the _event domain sorted — a convenience
-// for conformance checks comparing parsed modules against models.
-func (m *Module) SortedEventValues() []string {
-	v, ok := m.VarByName("_event")
-	if !ok {
-		return nil
-	}
-	out := append([]string(nil), v.Values...)
-	sort.Strings(out)
-	return out
 }

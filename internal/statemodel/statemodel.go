@@ -239,8 +239,8 @@ func (m *Model) VarByKey(key string) (*Var, int, bool) {
 	return m.Vars[i], i, true
 }
 
-// StateValue returns the value of variable key in state s.
-func (m *Model) StateValue(s int, key string) (string, bool) {
+// stateValue returns the value of variable key in state s.
+func (m *Model) stateValue(s int, key string) (string, bool) {
 	v, i, ok := m.VarByKey(key)
 	if !ok {
 		return "", false
@@ -264,7 +264,7 @@ func (m *Model) FindStates(req map[string]string) []int {
 	for s := range m.States {
 		okAll := true
 		for k, want := range req {
-			got, ok := m.StateValue(s, k)
+			got, ok := m.stateValue(s, k)
 			if !ok || got != want {
 				okAll = false
 				break

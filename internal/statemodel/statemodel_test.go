@@ -1,6 +1,7 @@
 package statemodel
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -40,10 +41,10 @@ func TestWaterLeakFourStates(t *testing.T) {
 	var wetToClosed int
 	for _, tr := range m.Transitions {
 		if tr.Event.String() == "waterSensor.water.wet" {
-			if got, _ := m.StateValue(tr.To, "valve.valve"); got != "closed" {
+			if got, _ := m.stateValue(tr.To, "valve.valve"); got != "closed" {
 				t.Errorf("wet transition target valve = %s", got)
 			}
-			if got, _ := m.StateValue(tr.To, "waterSensor.water"); got != "wet" {
+			if got, _ := m.stateValue(tr.To, "waterSensor.water"); got != "wet" {
 				t.Errorf("wet transition target water = %s", got)
 			}
 			wetToClosed++
@@ -94,8 +95,8 @@ func TestSmokeAlarmModel(t *testing.T) {
 		if tr.Event.String() != "smokeDetector.smoke.detected" {
 			continue
 		}
-		alarm, _ := m.StateValue(tr.To, "alarm.alarm")
-		valve, _ := m.StateValue(tr.To, "valve.valve")
+		alarm, _ := m.stateValue(tr.To, "alarm.alarm")
+		valve, _ := m.stateValue(tr.To, "valve.valve")
 		if alarm == "siren" && valve == "open" {
 			found = true
 		}
@@ -119,7 +120,7 @@ func TestBatteryEventGuardedTransition(t *testing.T) {
 		if tr.Event.VarKey != "battery.battery" {
 			continue
 		}
-		sw, _ := m.StateValue(tr.To, "switch.switch")
+		sw, _ := m.stateValue(tr.To, "switch.switch")
 		if strings.Contains(tr.Event.Value, "<thrshld") {
 			lowSeen = true
 			if sw != "on" {
@@ -127,7 +128,7 @@ func TestBatteryEventGuardedTransition(t *testing.T) {
 			}
 		} else {
 			highSeen = true
-			fromSw, _ := m.StateValue(tr.From, "switch.switch")
+			fromSw, _ := m.stateValue(tr.From, "switch.switch")
 			if sw != fromSw {
 				t.Errorf("high-battery event should not change switch")
 			}
@@ -157,8 +158,8 @@ func TestThermostatModelFig6(t *testing.T) {
 		if tr.Event.VarKey != "location.mode" {
 			continue
 		}
-		lock, _ := m.StateValue(tr.To, "lock.lock")
-		hsp, _ := m.StateValue(tr.To, "thermostat.heatingSetpoint")
+		lock, _ := m.stateValue(tr.To, "lock.lock")
+		hsp, _ := m.stateValue(tr.To, "thermostat.heatingSetpoint")
 		if lock != "locked" {
 			t.Errorf("mode transition lock = %s", lock)
 		}
@@ -169,6 +170,75 @@ func TestThermostatModelFig6(t *testing.T) {
 	}
 	if !found {
 		t.Error("no mode transitions")
+	}
+}
+
+// TestAbstractionValuesFollowValueFlow pins where property
+// abstraction's setpoint values come from: symbolic execution's
+// evaluation of the action argument, which folds constants through
+// locals and arithmetic, keeps only the definition that reaches the
+// action, and inlines helpers per call site. These are the constant
+// sources the paper's Algorithm 1 def-use search finds (§4.2.1).
+func TestAbstractionValuesFollowValueFlow(t *testing.T) {
+	cases := []struct {
+		name, handlers string
+		want           []string
+	}{
+		{"direct constant", `def h1(evt) { ther.setHeatingSetpoint(72) }`, []string{"72"}},
+		{"constant plus arithmetic", `def h1(evt) {
+    def y = 60
+    def x = y + 8
+    ther.setHeatingSetpoint(x)
+}`, []string{"68"}},
+		{"definitions on both branches", `def h1(evt) {
+    def v = 70
+    if (evt.value == "away") {
+        v = 60
+    }
+    ther.setHeatingSetpoint(v)
+}`, []string{"60", "70"}},
+		{"killed definition", `def h1(evt) {
+    def v = 50
+    v = 65
+    ther.setHeatingSetpoint(v)
+}`, []string{"65"}},
+		{"helper return value", `def h1(evt) { ther.setHeatingSetpoint(pick()) }
+def pick() {
+    def inner = 66
+    return inner
+}`, []string{"66"}},
+		{"helper called from two sites", `def h1(evt) { apply(70) }
+def h2(evt) { apply(62) }
+def apply(t) { ther.setHeatingSetpoint(t) }`, []string{"62", "70"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := buildOne(t, "t", `
+preferences { section("s") { input "ther", "capability.thermostat" } }
+def installed() {
+    subscribe(location, "mode", h1)
+    subscribe(ther, "temperature", h2)
+}
+`+tc.handlers)
+			v, _, ok := m.VarByKey("thermostat.heatingSetpoint")
+			if !ok {
+				t.Fatalf("vars = %v", varKeys(m))
+			}
+			// The domain is one value per feasible truth assignment to
+			// the "== c" predicates: each constant, plus "none of them".
+			var got []string
+			for _, val := range v.Values {
+				for _, pred := range strings.Split(val, "&") {
+					if c, ok := strings.CutPrefix(pred, "=="); ok {
+						got = append(got, c)
+					}
+				}
+			}
+			sort.Strings(got)
+			if strings.Join(got, ",") != strings.Join(tc.want, ",") || len(v.Values) != len(tc.want)+1 {
+				t.Errorf("heatingSetpoint domain = %v, want the constants %v and their complement", v.Values, tc.want)
+			}
+		})
 	}
 }
 
@@ -189,8 +259,8 @@ func TestThermostatPowerPredicates(t *testing.T) {
 		if tr.Event.VarKey != "powerMeter.power" {
 			continue
 		}
-		sw, _ := m.StateValue(tr.To, "switch.switch")
-		fromSw, _ := m.StateValue(tr.From, "switch.switch")
+		sw, _ := m.stateValue(tr.To, "switch.switch")
+		fromSw, _ := m.stateValue(tr.From, "switch.switch")
 		switch {
 		case strings.Contains(tr.Event.Value, ">50"):
 			if sw != "off" {
@@ -262,7 +332,7 @@ def touchHandler(evt) { sw.on() }
 	for _, tr := range m.Transitions {
 		if tr.Event.Kind == ir.AppTouchEvent {
 			found = true
-			if sw, _ := m.StateValue(tr.To, "switch.switch"); sw != "on" {
+			if sw, _ := m.stateValue(tr.To, "switch.switch"); sw != "on" {
 				t.Errorf("app touch target switch = %s", sw)
 			}
 		}
@@ -337,8 +407,8 @@ func TestMultiAppBuildSharedValve(t *testing.T) {
 		if tr.Event.String() != "waterSensor.water.wet" {
 			continue
 		}
-		fromValve, _ := m.StateValue(tr.From, "valve.valve")
-		toValve, _ := m.StateValue(tr.To, "valve.valve")
+		fromValve, _ := m.stateValue(tr.From, "valve.valve")
+		toValve, _ := m.stateValue(tr.To, "valve.valve")
 		if fromValve == "open" && toValve == "closed" {
 			found = true
 		}
@@ -392,28 +462,6 @@ func TestUnionMatchesJointBuild(t *testing.T) {
 		if !js[k] {
 			t.Errorf("edge in union but not joint: %s", k)
 		}
-	}
-}
-
-func TestInteractionVars(t *testing.T) {
-	smoke := appOf(t, "smoke-alarm", paperapps.SmokeAlarm)
-	leak := appOf(t, "water-leak", paperapps.WaterLeakDetector)
-	m, err := Build(smoke, leak)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys, apps := m.InteractionVars()
-	foundValve := false
-	for _, k := range keys {
-		if k == "valve.valve" {
-			foundValve = true
-			if len(apps[k]) != 2 {
-				t.Errorf("valve apps = %v", apps[k])
-			}
-		}
-	}
-	if !foundValve {
-		t.Errorf("interaction vars = %v, want valve.valve", keys)
 	}
 }
 

@@ -137,63 +137,3 @@ func mergeStrings(a, b []string) []string {
 	}
 	return out
 }
-
-// InteractionVars returns the keys of variables shared by at least two
-// different apps of the model — the devices/events through which apps
-// interact (§4.4). The second return groups, per shared variable, the
-// app indices touching it.
-func (m *Model) InteractionVars() ([]string, map[string][]int) {
-	touch := map[string]map[int]bool{}
-	mark := func(key string, app int) {
-		if _, ok := m.varIdx[key]; !ok {
-			return
-		}
-		if touch[key] == nil {
-			touch[key] = map[int]bool{}
-		}
-		touch[key][app] = true
-	}
-	for ai, am := range m.Apps {
-		for _, p := range am.App.Devices() {
-			if p.Cap == nil {
-				continue
-			}
-			for _, a := range p.Cap.Attributes {
-				mark(varKeyFor(p.Cap.Name, a.Name), ai)
-			}
-		}
-		for _, r := range am.Results {
-			if k := m.triggerKey(am.App, r.Entry.Sub); k != "" {
-				mark(k, ai)
-			}
-			for _, path := range r.Paths {
-				for _, act := range path.Actions {
-					mark(varKeyFor(act.Cap, act.Attr), ai)
-				}
-			}
-		}
-	}
-	var keys []string
-	apps := map[string][]int{}
-	for _, k := range sortedKeys(touch) {
-		if len(touch[k]) < 2 {
-			continue
-		}
-		keys = append(keys, k)
-		var list []int
-		for ai := range touch[k] {
-			list = append(list, ai)
-		}
-		sortInts(list)
-		apps[k] = list
-	}
-	return keys, apps
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j-1] > xs[j]; j-- {
-			xs[j-1], xs[j] = xs[j], xs[j-1]
-		}
-	}
-}

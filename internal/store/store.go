@@ -84,16 +84,6 @@ type Stats struct {
 	Puts, Evictions, Corrupt int64
 }
 
-// RecoveryStats describe what Open's crash-recovery pass found.
-type RecoveryStats struct {
-	// TempsSwept counts orphan .tmp-* files removed.
-	TempsSwept int
-	// Quarantined counts records the startup scan moved to quarantine/.
-	Quarantined int
-	// Scanned counts records the startup scan verified.
-	Scanned int
-}
-
 // Store is a disk-backed record store with an LRU front. All methods
 // are safe for concurrent use. A nil *Store is inert: Get misses, Put
 // drops, Stats is zero — so an optional store can be threaded through
@@ -109,8 +99,6 @@ type Store struct {
 	hits struct{ mem, disk atomic.Int64 }
 
 	misses, puts, evictions, corrupt atomic.Int64
-
-	recovery RecoveryStats
 }
 
 type memEntry struct {
@@ -167,34 +155,22 @@ func (s *Store) recover(scan bool) error {
 		case e.IsDir():
 			// quarantine/ and unrelated subdirectories are not records.
 		case strings.HasPrefix(name, ".tmp-"):
-			if s.fs.Remove(filepath.Join(s.dir, name)) == nil {
-				s.recovery.TempsSwept++
-			}
+			s.fs.Remove(filepath.Join(s.dir, name))
 		case scan && strings.HasSuffix(name, ".json"):
 			key := strings.TrimSuffix(name, ".json")
 			if !ValidKey(key) {
 				continue
 			}
-			s.recovery.Scanned++
 			data, err := s.fs.ReadFile(s.path(key))
 			if err != nil {
 				continue
 			}
 			if _, reason, err := decodeRecord(data); err != nil {
 				s.quarantine(key, reason)
-				s.recovery.Quarantined++
 			}
 		}
 	}
 	return nil
-}
-
-// Recovery reports what the crash-recovery pass of Open found.
-func (s *Store) Recovery() RecoveryStats {
-	if s == nil {
-		return RecoveryStats{}
-	}
-	return s.recovery
 }
 
 // ValidKey reports whether key is a well-formed content address

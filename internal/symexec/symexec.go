@@ -220,8 +220,14 @@ type Result struct {
 	Merged   int // paths merged away by ESP merging
 	// Sinks are the transmission calls observed across all paths,
 	// deduplicated, with ESP-style guard merging, in source order.
-	Sinks    []SinkCall
-	Warnings []string
+	Sinks []SinkCall
+	// StateWrites maps each persistent state field assigned on some
+	// feasible path ("lastSeen" for state.lastSeen or
+	// atomicState.lastSeen) to the union of the assigned values' taint
+	// marks. Like Sinks it is kept off the path state, so ESP merging,
+	// action signatures and the state model do not see it.
+	StateWrites map[string][]Label
+	Warnings    []string
 }
 
 const (
@@ -247,7 +253,7 @@ func Execute(app *ir.App, ep *ir.EntryPoint) *Result {
 		})
 	}
 	final := x.execBlock(ep.Handler.Body, []*pstate{seed})
-	res := &Result{Entry: ep, Explored: len(final), Warnings: x.warnings}
+	res := &Result{Entry: ep, Explored: len(final), StateWrites: x.stateWrites, Warnings: x.warnings}
 	res.Paths, res.Merged = mergePaths(final)
 	res.Sinks = collectSinks(final)
 	return res
@@ -379,9 +385,9 @@ func (p *pstate) assign(name string, v Value) {
 }
 
 type executor struct {
-	app      *ir.App
-	warnings []string
-	paths    int
+	app         *ir.App
+	warnings    []string
+	stateWrites map[string][]Label
 }
 
 func (x *executor) warnf(format string, args ...any) {
@@ -537,8 +543,13 @@ func (x *executor) assignTo(lhs groovy.Expr, v Value, op groovy.TokKind, p *psta
 	case *groovy.PropExpr:
 		if f, ok := ir.StateFieldRef(l); ok {
 			// Persistent state writes keep the symbolic binding so
-			// later reads in the same handler observe it.
+			// later reads in the same handler observe it, and their
+			// marks are recorded for reads in other handlers.
 			p.assign("state."+f, v)
+			if x.stateWrites == nil {
+				x.stateWrites = map[string][]Label{}
+			}
+			x.stateWrites[f] = unionLabels(x.stateWrites[f], v.Labels())
 			return
 		}
 	case *groovy.IndexExpr:

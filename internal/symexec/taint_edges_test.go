@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/soteria-analysis/soteria/internal/groovy"
+	"github.com/soteria-analysis/soteria/internal/ir"
 	"github.com/soteria-analysis/soteria/internal/pathcond"
 )
 
@@ -363,5 +365,101 @@ func TestSinkBeforeForkRecordedOnce(t *testing.T) {
 	}
 	if !sinks[0].Guard.IsTrue() {
 		t.Errorf("pre-fork sink guard = %s, want true", sinks[0].Guard)
+	}
+}
+
+// TestStateWritesRecordMarks pins Result.StateWrites, which the taint
+// resolver reads for state fields transmitted by another handler: each
+// field written on a feasible path maps to the union of the written
+// values' marks, through locals and inlined helpers; atomicState
+// writes land on the same field; writes on pruned paths are absent.
+func TestStateWritesRecordMarks(t *testing.T) {
+	r := execEntry(t, sinkApp("presence", `    def n = evt.displayName
+    state.who = n
+    keep(evt.value)
+    atomicState.note = "k: ${secret}"
+    state.plain = "hello"
+    if (evt.value == "present") {
+        if (evt.value == "away") {
+            state.never = evt.value
+        }
+    }`, `def keep(v) {
+    state.who = v
+}
+`), "h")
+	want := map[string][]string{
+		"who":   {"evt.displayName", "evt.value"},
+		"note":  {"secret"},
+		"plain": nil,
+	}
+	if len(r.StateWrites) != len(want) {
+		t.Fatalf("state writes = %+v, want fields %v", r.StateWrites, want)
+	}
+	for f, vars := range want {
+		ls, ok := r.StateWrites[f]
+		if !ok {
+			t.Errorf("field %s not recorded", f)
+			continue
+		}
+		got := taintVars(SinkArg{Taint: ls})
+		if strings.Join(got, ",") != strings.Join(vars, ",") {
+			t.Errorf("writes to %s carry %v, want %v", f, got, vars)
+		}
+	}
+	// Paths are unaffected: the writes are not actions.
+	for _, p := range r.Paths {
+		if len(p.Actions) != 0 {
+			t.Errorf("state writes leaked into path actions: %+v", p.Actions)
+		}
+	}
+}
+
+// TestBranchConditions pins the conversion of Groovy branch conditions
+// into path-condition atoms, the one place the repository does it:
+// comparisons (with a literal on either side), negation, conjunction,
+// De Morgan over a negated disjunction, and the opaque fallback for
+// shapes the fragment cannot express exactly.
+func TestBranchConditions(t *testing.T) {
+	app, err := ir.BuildSource("t", `def installed() { }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := &executor{app: app}
+	cases := []struct {
+		src     string
+		negated bool
+		want    string // canonical condition
+		opaque  int
+	}{
+		{src: `power_val > 50`, want: `power_val > 50`},
+		{src: `evt.value == "detected"`, want: `evt.value == "detected"`},
+		{src: `50 < power_val`, want: `power_val > 50`},
+		{src: `x > 5`, negated: true, want: `x <= 5`},
+		{src: `!(x > 5)`, want: `x <= 5`},
+		{src: `x > 5 && y == "on"`, want: `x > 5 && y == "on"`},
+		{src: `x > 5 || x < 1`, negated: true, want: `x <= 5 && x >= 1`},
+		{src: `location.contactBookEnabled`, opaque: 1},
+		// A negated conjunction is a disjunction, which the fragment
+		// cannot hold: it must become opaque, not silently wrong.
+		{src: `x > 1 && y > 2`, negated: true, opaque: 1},
+	}
+	for _, tc := range cases {
+		e, err := groovy.ParseExpr(tc.src)
+		if err != nil {
+			t.Fatalf("ParseExpr(%q): %v", tc.src, err)
+		}
+		p := newPState()
+		p.pushFrame()
+		c := x.condOf(e, tc.negated, p)
+		if len(c.Opaque) != tc.opaque {
+			t.Errorf("%s (negated %t): opaque = %v, want %d", tc.src, tc.negated, c.Opaque, tc.opaque)
+			continue
+		}
+		if tc.opaque == 0 && c.Canonical() != tc.want {
+			t.Errorf("%s (negated %t) = %q, want %q", tc.src, tc.negated, c.Canonical(), tc.want)
+		}
+		if tc.opaque == 0 && !pathcond.Feasible(c) {
+			t.Errorf("%s (negated %t) = %q is infeasible", tc.src, tc.negated, c.Canonical())
+		}
 	}
 }

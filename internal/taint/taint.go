@@ -6,12 +6,14 @@
 //
 // The analysis is a source/sink/sanitizer lattice over the IR,
 // evaluated on the symbolic-execution results already computed for the
-// state model: internal/symexec propagates taint marks through
-// expressions and records every transmission call with the path
-// condition that reaches it, and this package resolves the marks
-// against the sink policy (payload vs recipient argument positions),
-// chases persistent state variables through internal/dataflow's
-// def-use chains (Algorithm 1, with infeasible-path pruning), and
+// state model. internal/symexec is the one value-flow engine: it
+// propagates taint marks through expressions, helper calls and
+// returns, records every transmission call with the path condition
+// that reaches it, and records the marks of every value written to a
+// persistent state field. This package resolves the marks against the
+// sink policy (payload vs recipient argument positions), chases a
+// state-field mark through the marks written to that field by any
+// entry point or lifecycle method (transitively, cycle-guarded), and
 // reports each leak with a feasible witness path — source → sink with
 // the satisfiable path condition — rather than a syntactic
 // reachability claim. Sanitizer calls (redact/anonymize/obfuscate)
@@ -24,9 +26,6 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/soteria-analysis/soteria/internal/cfg"
-	"github.com/soteria-analysis/soteria/internal/dataflow"
-	"github.com/soteria-analysis/soteria/internal/groovy"
 	"github.com/soteria-analysis/soteria/internal/ir"
 	"github.com/soteria-analysis/soteria/internal/pathcond"
 	"github.com/soteria-analysis/soteria/internal/properties"
@@ -230,7 +229,7 @@ func FromModel(m *statemodel.Model, ids []string) []Flow {
 // appFlows evaluates one app's symbolic-execution results against the
 // sink policy.
 func appFlows(app *ir.App, results []*symexec.Result, match func(string) bool) []Flow {
-	var rv *resolver // built lazily: only state-variable marks need it
+	var rv *resolver // built lazily: only state-field marks need it
 	var flows []Flow
 	for _, r := range results {
 		for _, s := range r.Sinks {
@@ -247,24 +246,17 @@ func appFlows(app *ir.App, results []*symexec.Result, match func(string) bool) [
 				}
 				for _, l := range arg.Taint {
 					var origins []origin
-					switch l.Kind {
-					case pathcond.UserDefined:
-						origins = []origin{{Class: UserInput, Var: l.Var}}
-					case pathcond.DeviceState:
-						if l.Var == "location.mode" {
-							origins = []origin{{Class: LocationMode, Var: l.Var}}
-						} else {
-							origins = []origin{{Class: DeviceState, Var: l.Var}}
-						}
-					case pathcond.StateVariable:
+					if l.Kind == pathcond.StateVariable {
 						if rv == nil {
-							rv = newResolver(app)
+							rv = newResolver(app, results)
 						}
 						field := strings.TrimPrefix(l.Var, "state.")
 						for _, o := range rv.resolve(field, map[string]bool{}) {
 							o.Via = l.Var
 							origins = append(origins, o)
 						}
+					} else if o, ok := sourceOrigin(l); ok {
+						origins = []origin{o}
 					}
 					for _, o := range origins {
 						p, ok := specFor(o.Class, spec.Channel)
@@ -388,28 +380,36 @@ func Violations(flows []Flow) []properties.Violation {
 }
 
 // ---------------------------------------------------------------------------
-// Persistent-state resolution (Algorithm 1 over state fields)
+// Persistent-state resolution
 
 // resolver chases persistent state fields back to sensitive sources:
-// a mark like "state.lastSeen" at a sink is resolved by classifying
-// every assignment to the field anywhere in the app, using
-// internal/dataflow's def-use chains (with infeasible-path pruning)
-// for identifier-valued right-hand sides.
+// a mark like "state.lastSeen" at a sink resolves to the marks of every
+// value symbolic execution saw written to the field, on a feasible
+// path of any entry point or lifecycle method of the app.
 type resolver struct {
-	app  *ir.App
-	icfg *cfg.ICFG
-	df   *dataflow.Analysis
-	memo map[string][]origin
+	writes map[string][]symexec.Label
+	memo   map[string][]origin
 }
 
-func newResolver(app *ir.App) *resolver {
-	icfg := cfg.Build(app)
-	return &resolver{
-		app:  app,
-		icfg: icfg,
-		df:   dataflow.New(app, icfg),
-		memo: map[string][]origin{},
+// newResolver unions the state writes of the app's entry-point results
+// with those of its lifecycle methods (installed, updated, ...), which
+// are not entry points but run before any handler does.
+func newResolver(app *ir.App, results []*symexec.Result) *resolver {
+	r := &resolver{writes: map[string][]symexec.Label{}, memo: map[string][]origin{}}
+	add := func(res *symexec.Result) {
+		for f, ls := range res.StateWrites {
+			r.writes[f] = append(r.writes[f], ls...)
+		}
 	}
+	for _, res := range results {
+		add(res)
+	}
+	for _, m := range app.File.Methods {
+		if ir.LifecycleMethods[m.Name] {
+			add(symexec.Execute(app, &ir.EntryPoint{Handler: m}))
+		}
+	}
+	return r
 }
 
 // resolve returns the sensitive origins of state field `field`.
@@ -424,20 +424,11 @@ func (r *resolver) resolve(field string, visiting map[string]bool) []origin {
 	visiting[field] = true
 	defer delete(visiting, field)
 	var out []origin
-	for _, name := range r.methodNames() {
-		g, ok := r.icfg.Graph(name)
-		if !ok {
-			continue
-		}
-		for _, n := range g.Nodes {
-			as, isAssign := n.Stmt.(*groovy.AssignStmt)
-			if !isAssign || as.Op != groovy.ASSIGN {
-				continue
-			}
-			if f, ok := ir.StateFieldRef(as.LHS); !ok || f != field {
-				continue
-			}
-			out = append(out, r.classifyExpr(name, n, as.RHS, visiting)...)
+	for _, l := range r.writes[field] {
+		if l.Kind == pathcond.StateVariable {
+			out = append(out, r.resolve(strings.TrimPrefix(l.Var, "state."), visiting)...)
+		} else if o, ok := sourceOrigin(l); ok {
+			out = append(out, o)
 		}
 	}
 	out = dedupeOrigins(out)
@@ -447,102 +438,20 @@ func (r *resolver) resolve(field string, visiting map[string]bool) []origin {
 	return out
 }
 
-func (r *resolver) methodNames() []string {
-	names := make([]string, 0, len(r.app.File.Methods))
-	for _, m := range r.app.File.Methods {
-		names = append(names, m.Name)
+// sourceOrigin classifies a taint mark that names a sensitive source
+// itself: a user input, the location mode, or other device state.
+// State-field marks are not sources; the resolver chases them.
+func sourceOrigin(l symexec.Label) (origin, bool) {
+	switch l.Kind {
+	case pathcond.UserDefined:
+		return origin{Class: UserInput, Var: l.Var}, true
+	case pathcond.DeviceState:
+		if l.Var == "location.mode" {
+			return origin{Class: LocationMode, Var: l.Var}, true
+		}
+		return origin{Class: DeviceState, Var: l.Var}, true
 	}
-	sort.Strings(names)
-	return names
-}
-
-// classifyExpr resolves a right-hand side into sensitive origins. The
-// structural cases (interpolation, concatenation, ternaries, event
-// fields, state chains) are handled here; everything else — plain
-// identifiers, device reads, conversion wrappers, app-method returns —
-// goes through dataflow.NumericSources' backward def-use walk.
-func (r *resolver) classifyExpr(method string, n *cfg.Node, e groovy.Expr, visiting map[string]bool) []origin {
-	switch x := e.(type) {
-	case *groovy.StringLit, *groovy.NumberLit, *groovy.BoolLit, *groovy.NullLit:
-		return nil
-	case *groovy.GStringLit:
-		var out []origin
-		for _, part := range x.Parts {
-			if part.IsExpr {
-				out = append(out, r.classifyExpr(method, n, part.Expr, visiting)...)
-			}
-		}
-		return out
-	case *groovy.BinaryExpr:
-		return append(r.classifyExpr(method, n, x.L, visiting),
-			r.classifyExpr(method, n, x.R, visiting)...)
-	case *groovy.TernaryExpr:
-		return append(r.classifyExpr(method, n, x.Then, visiting),
-			r.classifyExpr(method, n, x.Else, visiting)...)
-	case *groovy.ElvisExpr:
-		return append(r.classifyExpr(method, n, x.Value, visiting),
-			r.classifyExpr(method, n, x.Default, visiting)...)
-	case *groovy.ListLit:
-		var out []origin
-		for _, el := range x.Elems {
-			out = append(out, r.classifyExpr(method, n, el, visiting)...)
-		}
-		return out
-	case *groovy.MapLit:
-		var out []origin
-		for _, en := range x.Entries {
-			out = append(out, r.classifyExpr(method, n, en.Value, visiting)...)
-		}
-		return out
-	case *groovy.PropExpr:
-		if f, ok := ir.StateFieldRef(x); ok {
-			return r.resolve(f, visiting)
-		}
-		if id, ok := x.Recv.(*groovy.Ident); ok {
-			if id.Name == "location" && x.Name == "mode" {
-				return []origin{{Class: LocationMode, Var: "location.mode"}}
-			}
-			if r.isEventParam(method, id.Name) {
-				return []origin{{Class: DeviceState, Var: "evt." + x.Name}}
-			}
-		}
-	}
-	var out []origin
-	for _, s := range r.df.NumericSources(method, n, e).Sources {
-		switch s.Kind {
-		case dataflow.DeviceRead:
-			v := s.Handle + "." + s.Attr
-			if v == "location.mode" {
-				out = append(out, origin{Class: LocationMode, Var: v})
-			} else {
-				out = append(out, origin{Class: DeviceState, Var: v})
-			}
-		case dataflow.UserInput:
-			out = append(out, origin{Class: UserInput, Var: s.Handle})
-		case dataflow.StateVar:
-			out = append(out, r.resolve(s.Field, visiting)...)
-		}
-	}
-	return out
-}
-
-// isEventParam reports whether ident names the event parameter of
-// method: the conventional "evt", or the first parameter when the
-// method is a subscription handler.
-func (r *resolver) isEventParam(method, ident string) bool {
-	if ident == "evt" {
-		return true
-	}
-	m := r.app.File.MethodByName(method)
-	if m == nil || len(m.Params) == 0 || m.Params[0] != ident {
-		return false
-	}
-	for _, sub := range r.app.Subscriptions {
-		if sub.Handler == method {
-			return true
-		}
-	}
-	return false
+	return origin{}, false
 }
 
 func dedupeOrigins(os []origin) []origin {
