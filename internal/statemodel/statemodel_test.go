@@ -173,73 +173,87 @@ func TestThermostatModelFig6(t *testing.T) {
 	}
 }
 
-// TestAbstractionValuesFollowValueFlow pins where property
-// abstraction's setpoint values come from: symbolic execution's
-// evaluation of the action argument, which folds constants through
-// locals and arithmetic, keeps only the definition that reaches the
-// action, and inlines helpers per call site. These are the constant
-// sources the paper's Algorithm 1 def-use search finds (§4.2.1).
-func TestAbstractionValuesFollowValueFlow(t *testing.T) {
-	cases := []struct {
-		name, handlers string
-		want           []string
-	}{
-		{"direct constant", `def h1(evt) { ther.setHeatingSetpoint(72) }`, []string{"72"}},
-		{"constant plus arithmetic", `def h1(evt) {
-    def y = 60
-    def x = y + 8
-    ther.setHeatingSetpoint(x)
-}`, []string{"68"}},
-		{"definitions on both branches", `def h1(evt) {
-    def v = 70
-    if (evt.value == "away") {
-        v = 60
-    }
-    ther.setHeatingSetpoint(v)
-}`, []string{"60", "70"}},
-		{"killed definition", `def h1(evt) {
-    def v = 50
-    v = 65
-    ther.setHeatingSetpoint(v)
-}`, []string{"65"}},
-		{"helper return value", `def h1(evt) { ther.setHeatingSetpoint(pick()) }
-def pick() {
-    def inner = 66
-    return inner
-}`, []string{"66"}},
-		{"helper called from two sites", `def h1(evt) { apply(70) }
-def h2(evt) { apply(62) }
-def apply(t) { ther.setHeatingSetpoint(t) }`, []string{"62", "70"}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			m := buildOne(t, "t", `
+// checkSetpointDomain pins where property abstraction's setpoint
+// values come from: symbolic execution's evaluation of the action
+// argument, which folds constants through locals and arithmetic, keeps
+// only the definition that reaches the action, and inlines helpers per
+// call site. These are the constant sources the paper's Algorithm 1
+// def-use search finds (§4.2.1). handlers defines h1 (subscribed to
+// mode) and h2 (subscribed to temperature); want is the sorted
+// constants of the thermostat.heatingSetpoint domain.
+func checkSetpointDomain(t *testing.T, handlers string, want ...string) {
+	t.Helper()
+	m := buildOne(t, "t", `
 preferences { section("s") { input "ther", "capability.thermostat" } }
 def installed() {
     subscribe(location, "mode", h1)
     subscribe(ther, "temperature", h2)
 }
-`+tc.handlers)
-			v, _, ok := m.VarByKey("thermostat.heatingSetpoint")
-			if !ok {
-				t.Fatalf("vars = %v", varKeys(m))
-			}
-			// The domain is one value per feasible truth assignment to
-			// the "== c" predicates: each constant, plus "none of them".
-			var got []string
-			for _, val := range v.Values {
-				for _, pred := range strings.Split(val, "&") {
-					if c, ok := strings.CutPrefix(pred, "=="); ok {
-						got = append(got, c)
-					}
-				}
-			}
-			sort.Strings(got)
-			if strings.Join(got, ",") != strings.Join(tc.want, ",") || len(v.Values) != len(tc.want)+1 {
-				t.Errorf("heatingSetpoint domain = %v, want the constants %v and their complement", v.Values, tc.want)
-			}
-		})
+`+handlers)
+	v, _, ok := m.VarByKey("thermostat.heatingSetpoint")
+	if !ok {
+		t.Fatalf("vars = %v", varKeys(m))
 	}
+	// The domain is one value per feasible truth assignment to the
+	// "== c" predicates: each constant, plus "none of them".
+	var got []string
+	for _, val := range v.Values {
+		for _, pred := range strings.Split(val, "&") {
+			if c, ok := strings.CutPrefix(pred, "=="); ok {
+				got = append(got, c)
+			}
+		}
+	}
+	sort.Strings(got)
+	if strings.Join(got, ",") != strings.Join(want, ",") || len(v.Values) != len(want)+1 {
+		t.Errorf("heatingSetpoint domain = %v, want the constants %v and their complement", v.Values, want)
+	}
+}
+
+func TestAbstractionValueDirectConstant(t *testing.T) {
+	checkSetpointDomain(t, `def h1(evt) { ther.setHeatingSetpoint(72) }`, "72")
+}
+
+func TestAbstractionValueConstantPlusArithmetic(t *testing.T) {
+	checkSetpointDomain(t, `def h1(evt) {
+    def y = 60
+    def x = y + 8
+    ther.setHeatingSetpoint(x)
+}`, "68")
+}
+
+func TestAbstractionValueDefsOnBothBranches(t *testing.T) {
+	checkSetpointDomain(t, `def h1(evt) {
+    def v = 70
+    if (evt.value == "away") {
+        v = 60
+    }
+    ther.setHeatingSetpoint(v)
+}`, "60", "70")
+}
+
+func TestAbstractionValueKilledDefinition(t *testing.T) {
+	checkSetpointDomain(t, `def h1(evt) {
+    def v = 50
+    v = 65
+    ther.setHeatingSetpoint(v)
+}`, "65")
+}
+
+func TestAbstractionValueHelperReturn(t *testing.T) {
+	checkSetpointDomain(t, `def h1(evt) { ther.setHeatingSetpoint(pick()) }
+def pick() {
+    def inner = 66
+    return inner
+}`, "66")
+}
+
+// TestAbstractionValuePerCallSite: the same helper called from two
+// sites with different constants yields both constants.
+func TestAbstractionValuePerCallSite(t *testing.T) {
+	checkSetpointDomain(t, `def h1(evt) { apply(70) }
+def h2(evt) { apply(62) }
+def apply(t) { ther.setHeatingSetpoint(t) }`, "62", "70")
 }
 
 func TestThermostatPowerPredicates(t *testing.T) {

@@ -414,35 +414,25 @@ func TestStateWritesRecordMarks(t *testing.T) {
 	}
 }
 
-// TestBranchConditions pins the conversion of Groovy branch conditions
-// into path-condition atoms, the one place the repository does it:
-// comparisons (with a literal on either side), negation, conjunction,
-// De Morgan over a negated disjunction, and the opaque fallback for
-// shapes the fragment cannot express exactly.
-func TestBranchConditions(t *testing.T) {
+// branchCase is one Groovy branch condition and the path-condition
+// atoms condOf must turn it into: want is the canonical condition, or
+// opaque is the number of opaque atoms for shapes the fragment cannot
+// express exactly. condOf is the one place the repository converts
+// Groovy conditions into pathcond.
+type branchCase struct {
+	src     string
+	negated bool
+	want    string
+	opaque  int
+}
+
+func checkBranchConditions(t *testing.T, cases ...branchCase) {
+	t.Helper()
 	app, err := ir.BuildSource("t", `def installed() { }`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := &executor{app: app}
-	cases := []struct {
-		src     string
-		negated bool
-		want    string // canonical condition
-		opaque  int
-	}{
-		{src: `power_val > 50`, want: `power_val > 50`},
-		{src: `evt.value == "detected"`, want: `evt.value == "detected"`},
-		{src: `50 < power_val`, want: `power_val > 50`},
-		{src: `x > 5`, negated: true, want: `x <= 5`},
-		{src: `!(x > 5)`, want: `x <= 5`},
-		{src: `x > 5 && y == "on"`, want: `x > 5 && y == "on"`},
-		{src: `x > 5 || x < 1`, negated: true, want: `x <= 5 && x >= 1`},
-		{src: `location.contactBookEnabled`, opaque: 1},
-		// A negated conjunction is a disjunction, which the fragment
-		// cannot hold: it must become opaque, not silently wrong.
-		{src: `x > 1 && y > 2`, negated: true, opaque: 1},
-	}
 	for _, tc := range cases {
 		e, err := groovy.ParseExpr(tc.src)
 		if err != nil {
@@ -462,4 +452,40 @@ func TestBranchConditions(t *testing.T) {
 			t.Errorf("%s (negated %t) = %q is infeasible", tc.src, tc.negated, c.Canonical())
 		}
 	}
+}
+
+func TestBranchConditionComparisons(t *testing.T) {
+	checkBranchConditions(t,
+		branchCase{src: `power_val > 50`, want: `power_val > 50`},
+		branchCase{src: `evt.value == "detected"`, want: `evt.value == "detected"`},
+	)
+}
+
+func TestBranchConditionSwappedLiteral(t *testing.T) {
+	checkBranchConditions(t, branchCase{src: `50 < power_val`, want: `power_val > 50`})
+}
+
+func TestBranchConditionNegation(t *testing.T) {
+	checkBranchConditions(t,
+		branchCase{src: `x > 5`, negated: true, want: `x <= 5`},
+		branchCase{src: `!(x > 5)`, want: `x <= 5`},
+	)
+}
+
+func TestBranchConditionConjunction(t *testing.T) {
+	checkBranchConditions(t, branchCase{src: `x > 5 && y == "on"`, want: `x > 5 && y == "on"`})
+}
+
+// TestBranchConditionDeMorgan: ¬(a ∨ b) = ¬a ∧ ¬b.
+func TestBranchConditionDeMorgan(t *testing.T) {
+	checkBranchConditions(t, branchCase{src: `x > 5 || x < 1`, negated: true, want: `x <= 5 && x >= 1`})
+}
+
+func TestBranchConditionOpaqueFallback(t *testing.T) {
+	checkBranchConditions(t,
+		branchCase{src: `location.contactBookEnabled`, opaque: 1},
+		// A negated conjunction is a disjunction, which the fragment
+		// cannot hold: it must become opaque, not silently wrong.
+		branchCase{src: `x > 1 && y > 2`, negated: true, opaque: 1},
+	)
 }
