@@ -133,9 +133,6 @@ func TestParallelBatchOrderAndCache(t *testing.T) {
 			t.Errorf("%s: expected cache hit", r.Key)
 		}
 	}
-	if _, analyses := cache.Len(); analyses != 2 {
-		t.Errorf("cached analyses = %d, want 2 (buggy and clean)", analyses)
-	}
 }
 
 // TestParallelBatchParseError verifies a hard per-item failure is

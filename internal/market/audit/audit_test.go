@@ -3,38 +3,12 @@ package audit
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 
 	"github.com/soteria-analysis/soteria/internal/core"
 	"github.com/soteria-analysis/soteria/internal/market"
 	"github.com/soteria-analysis/soteria/internal/properties"
 )
-
-// spyCache wraps a real cache and counts the audit's interactions with
-// it.
-type spyCache struct {
-	inner   core.ResultCache
-	mu      sync.Mutex
-	lookups int
-	stores  int
-}
-
-func (s *spyCache) LookupAnalysis(key string) (*core.Analysis, bool) {
-	s.mu.Lock()
-	s.lookups++
-	s.mu.Unlock()
-	return s.inner.LookupAnalysis(key)
-}
-
-func (s *spyCache) StoreAnalysis(key string, an *core.Analysis) {
-	s.mu.Lock()
-	s.stores++
-	s.mu.Unlock()
-	s.inner.StoreAnalysis(key, an)
-}
-
-func (s *spyCache) Stats() core.CacheStats { return s.inner.Stats() }
 
 func fingerprint(r *Report) string {
 	var sb []byte
@@ -46,30 +20,45 @@ func fingerprint(r *Report) string {
 	return string(sb)
 }
 
+// TestRunCacheInteraction requires a cold audit to memoize every item
+// and a warm one to be served from those entries without re-analysis:
+// a re-run item would replace its entry with a fresh *Analysis.
 func TestRunCacheInteraction(t *testing.T) {
-	items := len(market.All()) + len(market.Groups())
-	spy := &spyCache{inner: core.NewCache()}
+	apps, groups := market.All(), market.Groups()
+	cache := core.NewCache()
 
-	first := Run(context.Background(), 4, spy)
-	if got := len(first.Apps) + len(first.Groups); got != items {
-		t.Fatalf("audit produced %d entries, corpus has %d items", got, items)
+	first := Run(context.Background(), 4, cache)
+	if got, want := len(first.Apps)+len(first.Groups), len(apps)+len(groups); got != want {
+		t.Fatalf("audit produced %d entries, corpus has %d items", got, want)
 	}
-	if spy.lookups != items {
-		t.Errorf("first audit made %d analysis lookups, want one per item (%d)", spy.lookups, items)
+	opts := core.DefaultOptions()
+	var keys []string
+	for _, a := range apps {
+		keys = append(keys, core.AnalysisKey([]core.NamedSource{{Name: a.Name, Source: a.Source}}, opts))
 	}
-	if spy.stores != items {
-		t.Errorf("first audit stored %d analyses, want %d", spy.stores, items)
+	for _, g := range groups {
+		var srcs []core.NamedSource
+		for _, id := range g.Members {
+			if a, ok := market.ByID(id); ok {
+				srcs = append(srcs, core.NamedSource{Name: a.Name, Source: a.Source})
+			}
+		}
+		keys = append(keys, core.AnalysisKey(srcs, opts))
 	}
-	if h := spy.Stats().Hits; h != 0 {
-		t.Errorf("first audit hit a cold cache %d times", h)
+	cold := map[string]*core.Analysis{}
+	for _, k := range keys {
+		an, ok := cache.LookupAnalysis(k)
+		if !ok {
+			t.Fatalf("cold audit did not memoize item %s", k)
+		}
+		cold[k] = an
 	}
 
-	second := Run(context.Background(), 4, spy)
-	if hits := spy.Stats().Hits; hits < int64(items) {
-		t.Errorf("second audit only hit the cache %d times, want >= %d", hits, items)
-	}
-	if spy.stores != items {
-		t.Errorf("second audit re-stored analyses (%d stores total, want %d)", spy.stores, items)
+	second := Run(context.Background(), 4, cache)
+	for _, k := range keys {
+		if an, _ := cache.LookupAnalysis(k); an != cold[k] {
+			t.Fatalf("warm audit re-analyzed item %s", k)
+		}
 	}
 	if fingerprint(first) != fingerprint(second) {
 		t.Error("cached audit differs from the cold one")

@@ -295,15 +295,12 @@ func (s *Server) finishOrQueue(w http.ResponseWriter, r *http.Request, j *job) {
 	}
 }
 
-// finishFromStore serves a whole job from the persistent backend —
-// the local store, or the fleet's peer-routed view of it, so a node
-// answers from any replica's cache before analyzing or forwarding.
-// All items must hit; a partial hit set still queues the job (the
-// worker's cache reuses whatever is warm).
+// finishFromStore serves a whole job from the backend — the local
+// store, or the fleet's peer-routed view of it, so a node answers from
+// any replica's cache before analyzing or forwarding. All items must
+// hit; a partial hit set still queues the job, and the worker serves
+// the items that hit from the backend again.
 func (s *Server) finishFromStore(j *job) bool {
-	if s.cfg.Store == nil && s.cfg.Cluster == nil {
-		return false
-	}
 	root := obs.NewRoot("job")
 	root.Set("trace", j.trace)
 	root.Set("cached", "true")
@@ -324,8 +321,8 @@ func (s *Server) finishFromStore(j *job) bool {
 	j.elapsed = root.Duration()
 	j.span = root
 	j.mu.Unlock()
+	s.recordTelemetry(root)
 	close(j.done)
-	s.jobLatency.Observe(root.Duration())
 	return true
 }
 
@@ -346,7 +343,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // read in one hop.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
-	rec, ok := s.cfg.Store.Get(hash)
+	rec, ok := s.local.Get(hash)
 	if !ok {
 		writeError(w, http.StatusNotFound, "no stored result for %q", hash)
 		return

@@ -11,7 +11,7 @@ import (
 // handleMetrics serves GET /metrics in the Prometheus text exposition
 // format (hand-rendered; the serving tier is standard-library only).
 // Gauges come from the guard instrumentation; counters from the job
-// table, the persistent store, the in-process analysis cache, and the
+// table, the result store (local and, in a fleet, peer-routed), and the
 // engine/BDD-kernel and memo totals aggregated from job span trees;
 // histograms are the obs latency families (job end-to-end, queue
 // wait, per-phase, per-engine). The exposition-format test validates
@@ -49,14 +49,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		gauge("soteriad_journal_truncated_bytes", "Torn-tail bytes truncated when the journal was opened.", int64(s.journal.replay.TruncatedBytes))
 	}
 
-	cs := s.cache.Stats()
-	counter("soteriad_cache_hits_total", "Analysis cache hits (in-process + store).", cs.Hits)
-	counter("soteriad_cache_misses_total", "Analysis cache misses (in-process + store).", cs.Misses)
-	counter("soteriad_cache_evictions_total", "Analysis cache evictions (in-process + store front).", cs.Evictions)
-	gauge("soteriad_cache_analyses", "Analyses held in process.", int64(cs.Analyses))
-	gauge("soteriad_cache_ir_entries", "Parsed IR entries held in process.", int64(cs.IREntries))
+	cs := s.backend.Stats()
+	counter("soteriad_cache_hits_total", "Result cache hits (local store plus peer-routed reads).", cs.Hits)
+	counter("soteriad_cache_misses_total", "Result cache misses (local store plus peer-routed reads).", cs.Misses)
+	counter("soteriad_cache_evictions_total", "Records evicted from the local store's memory front.", cs.Evictions)
 
-	ss := s.cfg.Store.Stats()
+	ss := s.local.Stats()
 	counter("soteriad_store_hits_total", "Persistent store hits (memory front + disk).", ss.Hits)
 	counter("soteriad_store_disk_hits_total", "Persistent store hits served from disk.", ss.DiskHits)
 	counter("soteriad_store_misses_total", "Persistent store misses.", ss.Misses)

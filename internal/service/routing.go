@@ -252,8 +252,8 @@ func (s *Server) finishRouted(j *job, status api.Status, results []api.BatchItem
 
 // clusterStatusResponse is GET /v1/cluster/status: the routing view
 // (ring membership, ownership shares, per-peer counters) plus this
-// node's live load. A single-node daemon serves it too — the load
-// harness reads one schema whatever the fleet size.
+// node's live load. A single-node daemon serves it too, so clients
+// read one schema whatever the fleet size.
 type clusterStatusResponse struct {
 	cluster.Status
 	api.ClusterLoad
@@ -295,7 +295,7 @@ func (s *Server) handlePutResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid record: %v", err)
 		return
 	}
-	if err := s.cfg.Store.Put(hash, rec); err != nil {
+	if err := s.local.Put(hash, rec); err != nil {
 		writeError(w, http.StatusInternalServerError, "storing record: %v", err)
 		return
 	}

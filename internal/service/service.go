@@ -49,7 +49,7 @@ import (
 
 // Config configures a Server. The zero value is serviceable: defaults
 // fill in workers, queue depth, timeouts, and size caps; Store may be
-// nil for a purely in-memory (process-lifetime) cache.
+// nil for a memory-only result cache.
 type Config struct {
 	// Workers is the number of concurrent analysis workers (default
 	// GOMAXPROCS).
@@ -73,8 +73,11 @@ type Config struct {
 	// conflicts, formula depth); the zero value is unlimited. The
 	// wall clock is governed by JobTimeout.
 	Limits guard.Limits
-	// Store is the persistent result store; nil disables cross-restart
-	// memoization (in-process caching still applies).
+	// Store is the result store, the daemon's only result cache: HTTP
+	// handlers answer whole-job hits from it, and workers read it per
+	// item and write every complete record back. Nil substitutes a
+	// directory-less store (store.NewMemory): the same bounded memory
+	// front, no persistence across restarts.
 	Store *store.Store
 	// Cluster, when non-nil, turns this node into one member of a
 	// sharded fleet: sync requests route to each key's ring owner and
@@ -194,10 +197,11 @@ func (j *job) spanTree() *obs.Span {
 // Handler() on an http.Server, and call Shutdown to drain.
 type Server struct {
 	cfg    Config
-	cache  *store.AnalysisCache
 	logger *slog.Logger
-	// backend is the persistent level requests read through: the local
-	// store alone, or the cluster's peer-routed view of it.
+	// local is this node's store: Config.Store, or a directory-less
+	// one. backend is what requests and workers read and write
+	// through: local alone, or the cluster's peer-routed view of it.
+	local   *store.Store
 	backend store.Backend
 
 	queue    chan *job
@@ -268,13 +272,17 @@ func New(cfg Config) (*Server, error) {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	var backend store.Backend = cfg.Store
+	local := cfg.Store
+	if local == nil {
+		local = store.NewMemory(0)
+	}
+	var backend store.Backend = local
 	if cfg.Cluster != nil {
-		backend = cfg.Cluster.Backend(cfg.Store)
+		backend = cfg.Cluster.Backend(local)
 	}
 	s := &Server{
 		cfg:        cfg,
-		cache:      store.NewAnalysisCache(backend),
+		local:      local,
 		backend:    backend,
 		logger:     cfg.Logger,
 		baseCtx:    ctx,
@@ -580,9 +588,12 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes a job under its deadline. The pipeline's own
-// recovery boundaries contain panics and budget exhaustion per item;
-// anything that still escapes is a per-item Error, never a dead worker.
+// runJob executes a job under its deadline. Items the backend already
+// holds are served from it; the rest run through the pipeline, sharing
+// parsed IR through a cache that lives only as long as the job. The
+// pipeline's own recovery boundaries contain panics and budget
+// exhaustion per item; anything that still escapes is a per-item
+// Error, never a dead worker.
 func (s *Server) runJob(j *job) {
 	s.inflight.Inc()
 	j.setStatus(api.StatusRunning)
@@ -598,27 +609,40 @@ func (s *Server) runJob(j *job) {
 	defer cancel()
 	ctx = obs.WithSpan(ctx, root)
 
+	out := make([]api.BatchItem, len(j.items))
+	var misses []core.BatchItem
+	var missAt []int
+	for i, it := range j.items {
+		key := core.AnalysisKey(it.Sources, j.opts)
+		out[i] = api.BatchItem{Key: it.Key, StoreKey: key}
+		if rec, ok := s.backend.Get(key); ok {
+			out[i].Result, out[i].Cached = rec, true
+			continue
+		}
+		misses = append(misses, it)
+		missAt = append(missAt, i)
+	}
 	bo := core.BatchOptions{
 		Options:  j.opts,
 		Parallel: 1, // items of one job run sequentially; jobs are the unit of concurrency
-		Cache:    s.cache,
+		Cache:    core.NewCache(),
 	}
-	results := core.AnalyzeBatch(ctx, bo, j.items...)
-
-	out := make([]api.BatchItem, len(results))
 	failed := false
-	for i, r := range results {
-		out[i] = api.BatchItem{
-			Key:      j.items[i].Key,
-			StoreKey: core.AnalysisKey(j.items[i].Sources, j.opts),
-			Cached:   r.Cached,
-		}
+	for n, r := range core.AnalyzeBatch(ctx, bo, misses...) {
+		it := &out[missAt[n]]
+		it.Cached = r.Cached
 		if r.Err != nil {
-			out[i].Error = r.Err.Error()
+			it.Error = r.Err.Error()
 			failed = true
 			continue
 		}
-		out[i].Result = report.FromAnalysis(r.Analysis)
+		it.Result = report.FromAnalysis(r.Analysis)
+		// Partial results are never stored: an Incomplete verdict
+		// reflects one run's budget, not the input. Storing is
+		// best-effort: a full disk costs later hits, not this job.
+		if !r.Analysis.Incomplete {
+			_ = s.backend.Put(it.StoreKey, it.Result)
+		}
 	}
 
 	status := api.StatusDone
@@ -643,11 +667,12 @@ func (s *Server) runJob(j *job) {
 	j.elapsed = elapsed
 	j.span = root
 	j.mu.Unlock()
-	// The job leaves the inflight gauge before its waiter is released,
-	// so a client that saw the result never reads it as still running.
+	// The job leaves the inflight gauge, and enters the latency
+	// histograms, before its waiter is released: a client that saw the
+	// result never reads it as still running or not yet observed.
 	s.inflight.Dec()
-	close(j.done)
 	s.recordTelemetry(root)
+	close(j.done)
 	// The terminal entry is appended after the results landed in the
 	// store, so replay never sees "done" without its record bytes. A
 	// failed append degrades durability of this one completion (the

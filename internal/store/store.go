@@ -84,12 +84,13 @@ type Stats struct {
 	Puts, Evictions, Corrupt int64
 }
 
-// Store is a disk-backed record store with an LRU front. All methods
-// are safe for concurrent use. A nil *Store is inert: Get misses, Put
+// Store is a record store with an LRU front, backed by a directory
+// (Open) or by nothing (NewMemory). All methods are safe for
+// concurrent use. A nil *Store is inert: Get misses, Put
 // drops, Stats is zero — so an optional store can be threaded through
 // unconditionally.
 type Store struct {
-	dir string
+	dir string // "" for a directory-less store
 	fs  fsio.FS
 	max int
 
@@ -125,21 +126,31 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := fsys.MkdirAll(filepath.Join(dir, QuarantineDir), 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	max := opts.MaxMemEntries
+	s := newStore(dir, fsys, opts.MaxMemEntries)
+	if err := s.recover(!opts.NoRecoveryScan); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// NewMemory creates a directory-less store: the same LRU front as an
+// opened store (maxEntries = 0 means DefaultMemEntries) with nothing
+// behind it. Get misses past the front, and Put only promotes into it.
+func NewMemory(maxEntries int) *Store {
+	return newStore("", nil, maxEntries)
+}
+
+func newStore(dir string, fsys fsio.FS, max int) *Store {
 	if max <= 0 {
 		max = DefaultMemEntries
 	}
-	s := &Store{
+	return &Store{
 		dir: dir,
 		fs:  fsys,
 		max: max,
 		mem: map[string]*list.Element{},
 		lru: list.New(),
 	}
-	if err := s.recover(!opts.NoRecoveryScan); err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // recover is Open's crash-recovery pass: remove orphan temp files,
@@ -276,6 +287,10 @@ func (s *Store) Get(key string) (*report.Record, bool) {
 		return rec, true
 	}
 	s.mu.Unlock()
+	if s.dir == "" {
+		s.misses.Add(1)
+		return nil, false
+	}
 
 	data, err := s.fs.ReadFile(s.path(key))
 	if err != nil {
@@ -297,13 +312,19 @@ func (s *Store) Get(key string) (*report.Record, bool) {
 
 // Put stores a record under key with the full crash-consistency
 // protocol: checksummed frame → temp file → fsync → rename → directory
-// fsync — then promotion into the LRU front.
+// fsync — then promotion into the LRU front. A directory-less store
+// (NewMemory) only promotes.
 func (s *Store) Put(key string, rec *report.Record) error {
 	if s == nil {
 		return nil
 	}
 	if !ValidKey(key) {
 		return fmt.Errorf("store: invalid key %q", key)
+	}
+	if s.dir == "" {
+		s.promote(key, rec)
+		s.puts.Add(1)
+		return nil
 	}
 	payload, err := report.Encode(rec)
 	if err != nil {
@@ -389,6 +410,9 @@ func (s *Store) Len() (mem, disk int) {
 	s.mu.Lock()
 	mem = len(s.mem)
 	s.mu.Unlock()
+	if s.dir == "" {
+		return mem, 0
+	}
 	entries, err := s.fs.ReadDir(s.dir)
 	if err != nil {
 		return mem, 0

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -10,10 +9,8 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/soteria-analysis/soteria/internal/core"
 	"github.com/soteria-analysis/soteria/internal/fsio"
 	"github.com/soteria-analysis/soteria/internal/guard/faultinject"
-	"github.com/soteria-analysis/soteria/internal/paperapps"
 	"github.com/soteria-analysis/soteria/internal/report"
 )
 
@@ -156,6 +153,29 @@ func TestStoreLRUEviction(t *testing.T) {
 	}
 	if st := s.Stats(); st.DiskHits != 1 {
 		t.Fatalf("stats after evicted get: %+v", st)
+	}
+}
+
+// TestMemoryStoreFrontOnly: a directory-less store serves Puts from its
+// LRU front, and an evicted key is a miss — there is no disk behind it.
+func TestMemoryStoreFrontOnly(t *testing.T) {
+	s := NewMemory(2)
+	for i := 0; i < 3; i++ {
+		if err := s.Put(key(i), testRecord(i)); err != nil {
+			t.Fatalf("Put %d: %v", i, err)
+		}
+	}
+	if rec, ok := s.Get(key(2)); !ok || rec.States != 2 {
+		t.Fatalf("Get of resident key = %+v, %v", rec, ok)
+	}
+	if _, ok := s.Get(key(0)); ok {
+		t.Fatal("evicted key served by a directory-less store")
+	}
+	if mem, disk := s.Len(); mem != 2 || disk != 0 {
+		t.Fatalf("Len = (%d, %d), want (2, 0)", mem, disk)
+	}
+	if st := s.Stats(); st.Puts != 3 || st.MemHits != 1 || st.Misses != 1 || st.Evictions != 1 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 
@@ -366,64 +386,5 @@ func TestNilStoreInert(t *testing.T) {
 	}
 	if st := s.Stats(); st.Puts != 0 {
 		t.Fatalf("nil store stats: %+v", st)
-	}
-}
-
-// TestAnalysisCacheCrossRestart runs a batch through an AnalysisCache,
-// then repeats it in a "new process" (fresh AnalysisCache, same
-// directory) and requires the analysis to be served from disk with the
-// same verdicts.
-func TestAnalysisCacheCrossRestart(t *testing.T) {
-	dir := t.TempDir()
-	item := core.BatchItem{
-		Key:     "smoke",
-		Sources: []core.NamedSource{{Name: "smoke-alarm", Source: paperapps.SmokeAlarm}},
-	}
-	run := func() core.BatchResult {
-		cache := NewAnalysisCache(open(t, dir, Options{}))
-		bo := core.BatchOptions{Options: core.DefaultOptions(), Cache: cache}
-		return core.AnalyzeBatch(context.Background(), bo, item)[0]
-	}
-	first := run()
-	if first.Err != nil || first.Cached {
-		t.Fatalf("first run: err=%v cached=%v", first.Err, first.Cached)
-	}
-	second := run()
-	if second.Err != nil || !second.Cached {
-		t.Fatalf("second run: err=%v cached=%v", second.Err, second.Cached)
-	}
-	want := first.Analysis.ViolatedIDs()
-	got := second.Analysis.ViolatedIDs()
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("rehydrated verdicts %v, want %v", got, want)
-	}
-	if fmt.Sprint(second.Analysis.Checked) != fmt.Sprint(first.Analysis.Checked) {
-		t.Fatalf("rehydrated Checked %v, want %v", second.Analysis.Checked, first.Analysis.Checked)
-	}
-	// Rehydrated analyses are model-less by contract.
-	if second.Analysis.Model != nil {
-		t.Fatalf("rehydrated analysis has a model")
-	}
-}
-
-func TestAnalysisCacheStats(t *testing.T) {
-	cache := NewAnalysisCache(open(t, t.TempDir(), Options{}))
-	k := key(1)
-	if _, ok := cache.LookupAnalysis(k); ok {
-		t.Fatalf("empty cache hit")
-	}
-	cache.StoreAnalysis(k, &core.Analysis{Checked: []string{"P.1"}})
-	if an, ok := cache.LookupAnalysis(k); !ok || len(an.Checked) != 1 {
-		t.Fatalf("lookup after store: %v", ok)
-	}
-	st := cache.Stats()
-	if st.Hits == 0 || st.Misses == 0 {
-		t.Fatalf("merged stats: %+v", st)
-	}
-	// Incomplete analyses must not be persisted.
-	k2 := key(2)
-	cache.StoreAnalysis(k2, &core.Analysis{Incomplete: true})
-	if _, ok := cache.LookupAnalysis(k2); ok {
-		t.Fatalf("incomplete analysis was cached")
 	}
 }

@@ -628,8 +628,8 @@ type ServiceConfig struct {
 	Parallel int
 	// Limits are per-job resource limits; the zero value is unlimited.
 	Limits Limits
-	// StoreDir roots the persistent result store; "" keeps memoization
-	// in-process only.
+	// StoreDir roots the persistent result store; "" keeps results in
+	// a bounded memory-only store that does not survive a restart.
 	StoreDir string
 	// JournalPath enables the durable job journal ("" disables): every
 	// accepted job is fsynced into it before its acknowledgment, and on
