@@ -103,6 +103,66 @@ func TestMemoryOnlyCache(t *testing.T) {
 	}
 }
 
+// TestPartialHitBatch: a batch whose items are partly stored runs only
+// the misses. Stored items answer cached with the stored record's
+// bytes, and each item is read from the store exactly once, whether
+// the HTTP-side lookup or the worker made the read.
+func TestPartialHitBatch(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1})
+	h := s.Handler()
+	stored := analyzeVia(t, h, "smoke-alarm", paperapps.SmokeAlarm)
+
+	app := func(key, name, src string) map[string]any {
+		return map[string]any{"key": key, "apps": []map[string]string{{"name": name, "source": src}}}
+	}
+	// The HTTP side reads items 0 and 1 (its first miss); the worker
+	// reads item 2 only.
+	body, err := json.Marshal(map[string]any{"items": []map[string]any{
+		app("stored", "smoke-alarm", paperapps.SmokeAlarm),
+		app("fresh", "leak", paperapps.WaterLeakDetector),
+		app("stored-again", "smoke-alarm", paperapps.SmokeAlarm),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.local.Stats()
+	faultinject.BeginCount()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body)))
+	analyses := faultinject.TakeCounts()[faultinject.SiteAnalyze]
+	if rec.Code != http.StatusOK {
+		t.Fatalf("batch: %d %s", rec.Code, rec.Body.Bytes())
+	}
+	var resp struct {
+		Results []struct {
+			syncResponse
+			StoreKey string `json:"store_key"`
+		} `json:"results"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || len(resp.Results) != 3 {
+		t.Fatalf("batch response (err %v): %s", err, rec.Body.Bytes())
+	}
+	if analyses != 1 {
+		t.Fatalf("batch dispatched %d analyses, want 1 (the fresh item)", analyses)
+	}
+	for _, i := range []int{0, 2} {
+		r := resp.Results[i]
+		if !r.Cached || r.StoreKey != stored.Key {
+			t.Fatalf("item %d: cached=%v store_key=%q, want cached under %q", i, r.Cached, r.StoreKey, stored.Key)
+		}
+		if canonicalRecord(t, r.Result) != canonicalRecord(t, stored.Result) {
+			t.Fatalf("item %d record differs from the stored one", i)
+		}
+	}
+	if fresh := resp.Results[1]; fresh.Cached || fresh.StoreKey == stored.Key || len(fresh.Result) == 0 {
+		t.Fatalf("fresh item: cached=%v store_key=%q result=%s", fresh.Cached, fresh.StoreKey, fresh.Result)
+	}
+	after := s.local.Stats()
+	if hits, misses, puts := after.Hits-before.Hits, after.Misses-before.Misses, after.Puts-before.Puts; hits != 2 || misses != 1 || puts != 1 {
+		t.Fatalf("store reads for the batch: %d hits, %d misses, %d puts; want 2, 1, 1", hits, misses, puts)
+	}
+}
+
 // TestBoundedRetention: the daemon's memory does not grow with the
 // number of distinct apps it has analyzed. After a warm-up that fills
 // every bounded table (the store's memory front, the completed-job

@@ -256,6 +256,7 @@ func (s *Server) finishOrQueue(w http.ResponseWriter, r *http.Request, j *job) {
 		return
 	}
 	if s.maybeRoute(w, r, j) {
+		j.probed = nil // the job ran elsewhere; its lookups are not needed
 		return
 	}
 	if err := s.journal.append(acceptedEvent(j)); err != nil {
@@ -298,8 +299,8 @@ func (s *Server) finishOrQueue(w http.ResponseWriter, r *http.Request, j *job) {
 // finishFromStore serves a whole job from the backend — the local
 // store, or the fleet's peer-routed view of it, so a node answers from
 // any replica's cache before analyzing or forwarding. All items must
-// hit; a partial hit set still queues the job, and the worker serves
-// the items that hit from the backend again.
+// hit; on the first miss it stops, and leaves the lookups made so far
+// in j.probed for the worker, which reads only the items after them.
 func (s *Server) finishFromStore(j *job) bool {
 	root := obs.NewRoot("job")
 	root.Set("trace", j.trace)
@@ -308,10 +309,11 @@ func (s *Server) finishFromStore(j *job) bool {
 	for i, it := range j.items {
 		key := core.AnalysisKey(it.Sources, j.opts)
 		rec, ok := s.backend.Get(key)
+		results[i] = api.BatchItem{Key: it.Key, StoreKey: key, Cached: ok, Result: rec}
 		if !ok {
+			j.probed = results[:i+1]
 			return false
 		}
-		results[i] = api.BatchItem{Key: it.Key, StoreKey: key, Cached: true, Result: rec}
 	}
 	s.jobsDone.Add(1)
 	root.End()

@@ -162,6 +162,10 @@ type job struct {
 	breq *api.BatchRequest
 	// queuedAt feeds the queue-wait histogram (zero = not queued).
 	queuedAt time.Time
+	// probed holds the lookups finishFromStore already made: a stored
+	// record for each leading hit, then the first miss (Cached false).
+	// runJob reuses them so no item is read from the backend twice.
+	probed []api.BatchItem
 
 	done chan struct{} // closed on completion
 
@@ -274,7 +278,7 @@ func New(cfg Config) (*Server, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	local := cfg.Store
 	if local == nil {
-		local = store.NewMemory(0)
+		local = store.NewMemory()
 	}
 	var backend store.Backend = local
 	if cfg.Cluster != nil {
@@ -613,15 +617,19 @@ func (s *Server) runJob(j *job) {
 	var misses []core.BatchItem
 	var missAt []int
 	for i, it := range j.items {
-		key := core.AnalysisKey(it.Sources, j.opts)
-		out[i] = api.BatchItem{Key: it.Key, StoreKey: key}
-		if rec, ok := s.backend.Get(key); ok {
-			out[i].Result, out[i].Cached = rec, true
-			continue
+		if i < len(j.probed) {
+			out[i] = j.probed[i]
+		} else {
+			key := core.AnalysisKey(it.Sources, j.opts)
+			out[i] = api.BatchItem{Key: it.Key, StoreKey: key}
+			out[i].Result, out[i].Cached = s.backend.Get(key)
 		}
-		misses = append(misses, it)
-		missAt = append(missAt, i)
+		if !out[i].Cached {
+			misses = append(misses, it)
+			missAt = append(missAt, i)
+		}
 	}
+	j.probed = nil
 	bo := core.BatchOptions{
 		Options:  j.opts,
 		Parallel: 1, // items of one job run sequentially; jobs are the unit of concurrency

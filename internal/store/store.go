@@ -133,11 +133,11 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// NewMemory creates a directory-less store: the same LRU front as an
-// opened store (maxEntries = 0 means DefaultMemEntries) with nothing
-// behind it. Get misses past the front, and Put only promotes into it.
-func NewMemory(maxEntries int) *Store {
-	return newStore("", nil, maxEntries)
+// NewMemory creates a directory-less store: an LRU front of
+// DefaultMemEntries records with nothing behind it. Get misses past
+// the front, and Put only promotes into it.
+func NewMemory() *Store {
+	return newStore("", nil, 0)
 }
 
 func newStore(dir string, fsys fsio.FS, max int) *Store {

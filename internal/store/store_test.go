@@ -159,22 +159,23 @@ func TestStoreLRUEviction(t *testing.T) {
 // TestMemoryStoreFrontOnly: a directory-less store serves Puts from its
 // LRU front, and an evicted key is a miss — there is no disk behind it.
 func TestMemoryStoreFrontOnly(t *testing.T) {
-	s := NewMemory(2)
-	for i := 0; i < 3; i++ {
+	s := NewMemory()
+	n := DefaultMemEntries + 1
+	for i := 0; i < n; i++ {
 		if err := s.Put(key(i), testRecord(i)); err != nil {
 			t.Fatalf("Put %d: %v", i, err)
 		}
 	}
-	if rec, ok := s.Get(key(2)); !ok || rec.States != 2 {
+	if rec, ok := s.Get(key(n - 1)); !ok || rec.States != n-1 {
 		t.Fatalf("Get of resident key = %+v, %v", rec, ok)
 	}
 	if _, ok := s.Get(key(0)); ok {
 		t.Fatal("evicted key served by a directory-less store")
 	}
-	if mem, disk := s.Len(); mem != 2 || disk != 0 {
-		t.Fatalf("Len = (%d, %d), want (2, 0)", mem, disk)
+	if mem, disk := s.Len(); mem != DefaultMemEntries || disk != 0 {
+		t.Fatalf("Len = (%d, %d), want (%d, 0)", mem, disk, DefaultMemEntries)
 	}
-	if st := s.Stats(); st.Puts != 3 || st.MemHits != 1 || st.Misses != 1 || st.Evictions != 1 {
+	if st := s.Stats(); st.Puts != int64(n) || st.MemHits != 1 || st.Misses != 1 || st.Evictions != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
